@@ -100,30 +100,6 @@ assert not missing, f"missing metrics keys: {missing}"
 print(f"metrics smoke: {len(spans)} spans, {len(keys)} metric keys, all required present")
 PY
 
-echo "== trace smoke (--trace-out / --diagnostics-out keys) =="
-cargo run -q --release --offline -p xtrace-cli -- pipeline \
-    --app specfem3d --scale tiny --machine cray-xt5 \
-    --training 6,24,96 --target 384 --tracer fast --validate false \
-    --trace-out "$tmp/obs/trace.json" \
-    --diagnostics-out "$tmp/obs/diagnostics.json" >/dev/null
-python3 - "$tmp/obs/trace.json" "$tmp/obs/diagnostics.json" <<'PY'
-import json, sys
-trace = json.load(open(sys.argv[1]))
-events = trace["traceEvents"]
-assert events, "empty traceEvents"
-for ev in events:
-    for key in ("name", "ph", "ts", "dur"):
-        assert key in ev, f"event missing {key}: {ev}"
-phases = {ev["ph"] for ev in events}
-assert "X" in phases, f"no duration events: {sorted(phases)}"
-diag = json.load(open(sys.argv[2]))
-for key in ("target_x", "training_xs", "form_wins", "elements"):
-    assert key in diag, f"diagnostics missing {key}"
-assert sum(diag["form_wins"].values()) == len(diag["elements"])
-print(f"trace smoke: {len(events)} trace events, "
-      f"{len(diag['elements'])} diagnosed elements, all required keys present")
-PY
-
 echo "== concurrent-engine smoke (two sessions, one process, golden diff) =="
 # Two pipeline sessions running concurrently in one process must each
 # stay bit-identical to the single-session goldens (prediction and
@@ -152,40 +128,6 @@ written = counters["store.writes"]
 assert written > 64, f"wide collection stored only {written} artifacts"
 print(f"wide smoke: ring peak {peak}/{cap} refs, "
       f"{comp}/{raw} stored bytes over {written} artifacts")
-PY
-
-echo "== sweep smoke (--target comma list, one shared prefix) =="
-# A cold 3-target sweep must emit ordered per-target predictions and
-# write exactly one prefix artifact set (3 training traces) plus one
-# tail set per target (diagnostics + extrapolated + prediction +
-# critical-path) = 15. The --critical-out payload must carry one
-# attribution per target, path shares summing to exactly 10 000 bp,
-# and the bottleneck-flip-scale key (null when stable).
-cargo run -q --release --offline -p xtrace-cli -- pipeline \
-    --app specfem3d --scale tiny --machine cray-xt5 \
-    --training 6,24,96 --target 192,384,768 --tracer fast --validate false \
-    --store "$tmp/sweep-store" --out "$tmp/sweep.json" \
-    --metrics-out "$tmp/sweep-metrics.json" \
-    --critical-out "$tmp/sweep-critical.json" >/dev/null
-python3 - "$tmp/sweep.json" "$tmp/sweep-metrics.json" "$tmp/sweep-critical.json" <<'PY'
-import json, sys
-preds = json.load(open(sys.argv[1]))
-assert [p["target"] for p in preds] == [192, 384, 768], \
-    f"sweep lanes out of order: {[p['target'] for p in preds]}"
-assert all(p["prediction"]["total_seconds"] > 0 for p in preds)
-snap = json.load(open(sys.argv[2]))
-writes = snap["counters"]["store.writes"]
-assert writes == 15, f"cold 3-target sweep wrote {writes} artifacts, expected 15"
-crit = json.load(open(sys.argv[3]))
-assert crit["targets"] == [192, 384, 768], f"critical-out targets: {crit['targets']}"
-assert "flip_target" in crit, "flip-scale key missing from --critical-out"
-assert len(crit["reports"]) == 3
-for report in crit["reports"]:
-    total = sum(seg["share_bp"] for seg in report["segments"])
-    assert total == 10_000, f"path shares sum to {total} bp, expected 10000"
-flip = crit["flip_target"]
-print(f"sweep smoke: 3 ordered lanes, {writes} cold store writes "
-      f"(shared prefix written once), bottleneck flip scale: {flip}")
 PY
 
 echo "== serve smoke (daemon endpoints, coalescing, 429, SIGTERM drain) =="

@@ -664,12 +664,75 @@ fn obs_outputs_create_missing_parent_dirs() {
             assert!(ev.get(key).is_some(), "event missing {key}: {ev:?}");
         }
     }
+    assert!(
+        events
+            .iter()
+            .any(|ev| ev.get("ph").and_then(|p| p.as_str()) == Some("X")),
+        "no duration events"
+    );
 
     let diag: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&diag).unwrap()).unwrap();
-    assert!(diag["form_wins"].0.as_object().is_some(), "{diag:?}");
-    assert!(!diag["elements"].0.as_array().unwrap().is_empty());
+    let wins = diag["form_wins"].0.as_object().expect("form_wins object");
+    let elements = diag["elements"].0.as_array().unwrap();
+    assert!(!elements.is_empty());
+    let total_wins: u64 = wins.iter().map(|(_, n)| n.as_u64().unwrap()).sum();
+    assert_eq!(total_wins, elements.len() as u64, "one win per element");
     assert!(!diag["training_xs"].0.as_array().unwrap().is_empty());
+    assert!(diag["target_x"].as_f64().is_some(), "{diag:?}");
+}
+
+#[test]
+fn pipeline_sweep_out_rows_follow_target_order_and_share_one_prefix() {
+    let dir = tmpdir("sweepout");
+    let store = dir.join("store");
+    let _ = std::fs::remove_dir_all(&store);
+    let rows = dir.join("sweep.json");
+    let metrics = dir.join("metrics.json");
+    let out = xtrace(&[
+        "pipeline",
+        "--app",
+        "stencil3d",
+        "--training",
+        "2,4,8",
+        "--target",
+        "16,32,64",
+        "--machine",
+        "opteron",
+        "--validate",
+        "false",
+        "--store",
+        store.to_str().unwrap(),
+        "--out",
+        rows.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+
+    let rows: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&rows).unwrap()).unwrap();
+    let rows = rows.0.as_array().expect("one row per target");
+    let targets: Vec<u64> = rows
+        .iter()
+        .map(|r| r.get("target").and_then(|t| t.as_u64()).unwrap())
+        .collect();
+    assert_eq!(targets, vec![16, 32, 64], "rows follow the target order");
+    for row in rows {
+        let seconds = row
+            .get("prediction")
+            .and_then(|p| p.get("total_seconds"))
+            .and_then(|s| s.as_f64())
+            .unwrap();
+        assert!(seconds > 0.0, "{row:?}");
+    }
+
+    // A cold 3-target sweep writes the prefix once (3 training traces)
+    // and one tail set per target (fit diagnostics, extrapolated trace,
+    // prediction, critical path).
+    let metrics: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert_eq!(metrics["counters"]["store.writes"].as_u64(), Some(15));
 }
 
 #[test]

@@ -19,12 +19,14 @@
 //! snapshot (the execution that actually produced its result), flagged
 //! with [`EngineOutcome::coalesced`].
 //!
-//! [`XtraceEngine::run_sweep`] extends coalescing to multi-target sweeps
-//! at *both* hash granularities: the sweep itself is keyed by its full
-//! config hash, and the leader additionally opens per-target flights
-//! under each target's standalone hash, so single-target callers arriving
-//! mid-sweep receive their target's slice of the sweep instead of
-//! re-running the shared prefix. Engine load is observable through the
+//! One execution path serves both entry points: [`XtraceEngine::run`] is
+//! [`XtraceEngine::run_sweep`] over a sweep of one, and every flight
+//! carries a [`SweepOutcome`]. Coalescing works at *both* hash
+//! granularities: the sweep itself is keyed by its full config hash, and
+//! the leader additionally opens per-target flights under each target's
+//! standalone hash, so single-target callers arriving mid-sweep receive
+//! their target's slice of the sweep instead of re-running the shared
+//! prefix. Engine load is observable through the
 //! `engine.in_flight` / `engine.waiting` gauges stamped into every
 //! outcome's metrics (masked from golden comparisons, since they reflect
 //! process load rather than the config).
@@ -40,7 +42,7 @@ use xtrace_obs::{JournalSnapshot, ObsContext, Recorder, Snapshot};
 use crate::config::PipelineConfig;
 use crate::error::{Result, XtraceError};
 use crate::pipeline::{Pipeline, PipelineReport, SweepReport};
-use crate::stage::{StageKind, StageObserver};
+use crate::stage::StageObserver;
 use crate::store::ArtifactStore;
 
 /// Everything one engine-run produced: the pipeline's report plus the
@@ -62,8 +64,7 @@ pub struct EngineOutcome {
 
 /// Everything one engine-sweep produced: per-target reports over one
 /// shared prefix execution, plus that execution's observability
-/// snapshots (per-target data rides on `t<T>` journal lanes and
-/// `target-<T>` spans).
+/// snapshots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepOutcome {
     /// The sweep result: one [`PipelineReport`] per target.
@@ -107,31 +108,25 @@ impl SweepOutcome {
     }
 }
 
-/// What a flight publishes: single-target flights (and the per-target
-/// flights a sweep leader registers) carry an [`EngineOutcome`]; a
-/// sweep's own flight carries the whole [`SweepOutcome`].
-#[derive(Clone)]
-enum FlightValue {
-    Single(Box<EngineOutcome>),
-    Sweep(Box<SweepOutcome>),
-}
-
 /// One in-flight execution that followers can await.
 #[derive(Default)]
 struct Flight {
     /// `None` until the leader publishes; then the shared outcome
     /// (`coalesced` still `false` — followers flip their copy).
-    slot: Mutex<Option<std::result::Result<FlightValue, String>>>,
+    slot: Mutex<Option<FlightResult>>,
     cv: Condvar,
     /// Callers currently parked on `cv` (observability for tests and
     /// load-shedding heuristics).
     waiters: AtomicUsize,
 }
 
+/// What a flight publishes: the leader's whole sweep, or its error text.
+type FlightResult = std::result::Result<Arc<SweepOutcome>, String>;
+
 impl Flight {
     /// Parks until the leader publishes, then returns a copy of the
     /// value. Decrements the waiter count registered at enqueue time.
-    fn await_value(&self) -> std::result::Result<FlightValue, String> {
+    fn await_value(&self) -> FlightResult {
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         while slot.is_none() {
             slot = self.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
@@ -141,7 +136,7 @@ impl Flight {
     }
 
     /// Publishes the leader's result and wakes every parked follower.
-    fn publish(&self, value: std::result::Result<FlightValue, String>) {
+    fn publish(&self, value: FlightResult) {
         *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
         self.cv.notify_all();
     }
@@ -217,15 +212,17 @@ impl XtraceEngine {
             .sum()
     }
 
-    /// Runs `config` through the pipeline, coalescing with any identical
-    /// in-flight request.
+    /// Runs `config`'s one target through the pipeline, coalescing with
+    /// any identical in-flight request: [`XtraceEngine::run_sweep`] over a
+    /// sweep of one, sliced into an [`EngineOutcome`].
     ///
     /// The first caller for a given config hash (the *leader*) executes
     /// the pipeline under a fresh journal-enabled [`ObsContext`]; callers
     /// that arrive while it is running await the same execution and get a
     /// clone of its outcome with [`EngineOutcome::coalesced`] set. Calls
     /// arriving after completion start a new flight — with a store
-    /// attached, that re-run resolves as cache hits.
+    /// attached, that re-run resolves as cache hits. A multi-target
+    /// config is a usage error, raised before joining any flight.
     pub fn run(&self, config: &PipelineConfig) -> Result<EngineOutcome> {
         self.run_with_observer(config, None)
     }
@@ -240,50 +237,44 @@ impl XtraceEngine {
         config: &PipelineConfig,
         observer: Option<Box<dyn StageObserver>>,
     ) -> Result<EngineOutcome> {
-        let key = config.config_hash();
-        let (flight, leader) = self.join_or_lead(&key);
-
-        if leader {
-            let result = self.execute(config, observer);
-            // Retire the flight before publishing: a caller arriving now
-            // starts a fresh flight (and, with a store, resumes warm)
-            // rather than receiving a stale outcome forever.
-            self.retire(&[key]);
-            flight.publish(match &result {
-                Ok(outcome) => Ok(FlightValue::Single(Box::new(outcome.clone()))),
-                Err(e) => Err(e.to_string()),
-            });
-            result
-        } else {
-            match flight.await_value() {
-                Ok(FlightValue::Single(outcome)) => Ok(EngineOutcome {
-                    coalesced: true,
-                    ..*outcome
-                }),
-                Ok(FlightValue::Sweep(_)) => Err(XtraceError::Usage(
-                    "config sweeps multiple targets; use run_sweep".into(),
-                )),
-                Err(message) => Err(XtraceError::Model(format!(
-                    "coalesced pipeline failed: {message}"
-                ))),
-            }
+        if config.effective_targets().len() > 1 {
+            return Err(XtraceError::Usage(
+                "config sweeps multiple targets; use run_sweep".into(),
+            ));
         }
+        let SweepOutcome {
+            sweep,
+            metrics,
+            journal,
+            coalesced,
+        } = self.run_sweep_with_observer(config, observer)?;
+        Ok(EngineOutcome {
+            report: sweep
+                .reports
+                .into_iter()
+                .next()
+                .expect("one report per target"),
+            metrics,
+            journal,
+            coalesced,
+        })
     }
 
     /// Runs every target of `config`'s sweep, coalescing at *both* hash
     /// granularities.
     ///
-    /// The sweep's own flight is keyed by the full (multi-target) config
-    /// hash, so identical concurrent sweeps share one execution. On top
-    /// of that the leader registers one flight per target under that
-    /// target's standalone config hash — a single-target
-    /// [`XtraceEngine::run`] arriving mid-sweep parks there and receives
-    /// that target's [`EngineOutcome`] when the sweep lands, instead of
-    /// redundantly re-collecting the shared prefix. (The converse is
-    /// deliberate and simpler: a sweep never joins an in-flight
-    /// single-target run — it skips any per-target key already occupied
-    /// and still computes every target itself, warm from the store where
-    /// possible.)
+    /// The sweep's own flight is keyed by its full config hash, so
+    /// identical concurrent sweeps share one execution. On top of that
+    /// the leader registers one flight per target under that target's
+    /// standalone config hash — a single-target [`XtraceEngine::run`]
+    /// arriving mid-sweep parks there and receives that target's slice of
+    /// the sweep when it lands, instead of redundantly re-collecting the
+    /// shared prefix. (The converse is deliberate and simpler: a sweep
+    /// never joins an in-flight single-target run — it skips any
+    /// per-target key already occupied and still computes every target
+    /// itself, warm from the store where possible.) A one-target sweep
+    /// hashes identically to the plain single-target config, so the two
+    /// spellings share one flight.
     pub fn run_sweep(&self, config: &PipelineConfig) -> Result<SweepOutcome> {
         self.run_sweep_with_observer(config, None)
     }
@@ -296,53 +287,41 @@ impl XtraceEngine {
         observer: Option<Box<dyn StageObserver>>,
     ) -> Result<SweepOutcome> {
         let targets = config.effective_targets();
-        if targets.len() == 1 {
-            // A one-target sweep hashes identically to the plain
-            // single-target config, so delegating to the single-run path
-            // coalesces the two spellings onto one flight.
-            let outcome = self.run_with_observer(config, observer)?;
-            let prefix_seconds = outcome
-                .report
-                .timings
-                .iter()
-                .filter(|t| matches!(t.stage, StageKind::Collect | StageKind::Fit))
-                .map(|t| t.seconds)
-                .sum();
-            return Ok(SweepOutcome {
-                sweep: SweepReport {
-                    prefix_hash: outcome.report.prefix_hash.clone(),
-                    targets,
-                    reports: vec![outcome.report],
-                    prefix_seconds,
-                },
-                metrics: outcome.metrics,
-                journal: outcome.journal,
-                coalesced: outcome.coalesced,
-            });
-        }
-
         let key = config.config_hash();
         let (flight, leader) = self.join_or_lead(&key);
         if !leader {
-            return match flight.await_value() {
-                Ok(FlightValue::Sweep(outcome)) => Ok(SweepOutcome {
-                    coalesced: true,
-                    ..*outcome
-                }),
-                Ok(FlightValue::Single(_)) => {
-                    unreachable!("multi-target hashes only publish sweep outcomes")
-                }
-                Err(message) => Err(XtraceError::Model(format!(
-                    "coalesced sweep failed: {message}"
-                ))),
-            };
+            // The flight may be a wider sweep's per-target flight: keep
+            // only this config's targets.
+            let outcome = flight.await_value().map_err(|message| {
+                XtraceError::Model(format!("coalesced pipeline failed: {message}"))
+            })?;
+            let reports = targets
+                .iter()
+                .map(|t| {
+                    let i = outcome.sweep.targets.iter().position(|x| x == t);
+                    i.map(|i| outcome.sweep.reports[i].clone())
+                })
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| XtraceError::Model("coalesced flight lacks a target".into()))?;
+            return Ok(SweepOutcome {
+                sweep: SweepReport {
+                    prefix_hash: outcome.sweep.prefix_hash.clone(),
+                    targets,
+                    reports,
+                    prefix_seconds: outcome.sweep.prefix_seconds,
+                },
+                metrics: outcome.metrics.clone(),
+                journal: outcome.journal.clone(),
+                coalesced: true,
+            });
         }
 
         // Leader: additionally open one flight per target under its
         // standalone hash, so mid-sweep single-target callers coalesce.
-        // Keys already in flight (a concurrent standalone run) are
-        // skipped, not joined.
-        let mut target_flights: Vec<(u32, String, Arc<Flight>)> = Vec::new();
+        // Keys already in flight (a concurrent standalone run, or this
+        // very flight for a sweep of one) are skipped, not joined.
+        let mut keys = vec![key];
+        let mut flights = vec![flight];
         {
             let mut map = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
             for &t in &targets {
@@ -350,42 +329,23 @@ impl XtraceEngine {
                 if let std::collections::hash_map::Entry::Vacant(e) = map.entry(tkey.clone()) {
                     let f = Arc::new(Flight::default());
                     e.insert(Arc::clone(&f));
-                    target_flights.push((t, tkey, f));
+                    keys.push(tkey);
+                    flights.push(f);
                 }
             }
         }
 
-        let result = self.execute_sweep(config, observer);
-        let mut retire_keys: Vec<String> = vec![key];
-        retire_keys.extend(target_flights.iter().map(|(_, k, _)| k.clone()));
-        self.retire(&retire_keys);
-
-        match &result {
-            Ok(outcome) => {
-                for (t, _, f) in &target_flights {
-                    let idx = outcome
-                        .sweep
-                        .targets
-                        .iter()
-                        .position(|x| x == t)
-                        .expect("sweep reports cover every target");
-                    let report = &outcome.sweep.reports[idx];
-                    f.publish(Ok(FlightValue::Single(Box::new(EngineOutcome {
-                        report: report.clone(),
-                        metrics: outcome.metrics.clone(),
-                        journal: outcome.journal.clone(),
-                        coalesced: false,
-                    }))));
-                }
-                flight.publish(Ok(FlightValue::Sweep(Box::new(outcome.clone()))));
-            }
-            Err(e) => {
-                let message = e.to_string();
-                for (_, _, f) in &target_flights {
-                    f.publish(Err(message.clone()));
-                }
-                flight.publish(Err(message));
-            }
+        let result = self.execute(config, observer);
+        // Retire the flights before publishing: a caller arriving now
+        // starts a fresh flight (and, with a store, resumes warm) rather
+        // than receiving a stale outcome forever.
+        self.retire(&keys);
+        let published = match &result {
+            Ok(outcome) => Ok(Arc::new(outcome.clone())),
+            Err(e) => Err(e.to_string()),
+        };
+        for f in &flights {
+            f.publish(published.clone());
         }
         result
     }
@@ -431,30 +391,6 @@ impl XtraceEngine {
 
     /// One cold execution under a fresh scoped context.
     fn execute(
-        &self,
-        config: &PipelineConfig,
-        observer: Option<Box<dyn StageObserver>>,
-    ) -> Result<EngineOutcome> {
-        let recorder = self.session_recorder();
-        let obs = ObsContext::with_recorder(Arc::clone(&recorder));
-        let mut pipeline = Pipeline::new(config.clone())?.with_obs(obs);
-        if let Some(store) = &self.store {
-            pipeline = pipeline.with_store_handle(store.clone());
-        }
-        if let Some(observer) = observer {
-            pipeline = pipeline.with_observer(observer);
-        }
-        let report = pipeline.run()?;
-        Ok(EngineOutcome {
-            report,
-            metrics: recorder.snapshot(),
-            journal: recorder.journal_snapshot(),
-            coalesced: false,
-        })
-    }
-
-    /// One cold sweep execution under a fresh scoped context.
-    fn execute_sweep(
         &self,
         config: &PipelineConfig,
         observer: Option<Box<dyn StageObserver>>,

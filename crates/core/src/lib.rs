@@ -17,13 +17,14 @@
 //!   [`EXIT_IO`], [`EXIT_MODEL`]).
 //! * [`config`] — [`PipelineConfig`] subsumes the scattered flag soup into
 //!   one value with a stable [fingerprint](PipelineConfig::config_hash).
-//! * [`stage`] — the five object-safe stage traits plus the paper-faithful
-//!   default implementations and the [`StageObserver`] progress hook.
+//! * [`stage`] — the [`StageKind`] vocabulary, the Collect and Validate
+//!   kernels, and the [`StageObserver`] progress hook.
 //! * [`store`] — the versioned [`ArtifactStore`], keyed by config hash,
 //!   reusing `xtrace-tracer`'s trace codecs; pluggable [`ArtifactBackend`]s
 //!   with a [sharded in-memory cache](store::ShardedCache) for concurrent
 //!   sessions.
-//! * [`pipeline`] — the [`Pipeline`] engine and its [`PipelineReport`].
+//! * [`pipeline`] — the [`Pipeline`] engine, one stage-major path for
+//!   one target or many, and its [`PipelineReport`] / [`SweepReport`].
 //! * [`engine`] — the multi-client [`XtraceEngine`]: one shared store,
 //!   per-run scoped [`xtrace_obs::ObsContext`]s, and request coalescing
 //!   of identical in-flight configs.
@@ -60,8 +61,11 @@ pub use engine::{EngineOutcome, SweepOutcome, XtraceEngine};
 pub use error::{Result, XtraceError, EXIT_IO, EXIT_MODEL, EXIT_USAGE};
 pub use pipeline::{Pipeline, PipelineReport, PredictionRow, StageTiming, SweepReport, Validation};
 pub use stage::{
-    Collect, Convolve, DefaultCollect, DefaultConvolve, DefaultFit, DefaultSynthesize,
-    DefaultValidate, Fit, NullObserver, StageKind, StageObserver, Synthesize, Validate,
+    // The stage vocabulary and the progress hook; the Collect and Validate
+    // kernels are private to the engine.
+    NullObserver,
+    StageKind,
+    StageObserver,
 };
 pub use store::{
     ArtifactBackend, ArtifactStore, FileBackend, ShardStats, ShardedCache, STORE_FORMAT,

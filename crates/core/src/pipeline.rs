@@ -1,6 +1,7 @@
 //! The staged pipeline engine.
 //!
-//! [`Pipeline`] wires the five [stage traits](crate::stage) together,
+//! [`Pipeline`] runs the paper's Figure-2 flow — Collect → Fit →
+//! Synthesize → Convolve → Validate — over every target of its config,
 //! times each stage, reports progress through a
 //! [`StageObserver`](crate::stage::StageObserver), and — when an
 //! [`ArtifactStore`] is attached — reuses any artifact already filed
@@ -16,34 +17,29 @@
 //! * the prediction and validation records short-circuit Convolve and
 //!   Validate (`prediction-t<T>.json`, `validation-t<T>.json`).
 //!
-//! [`Pipeline::run_sweep`] batches several targets over one shared prefix:
-//! Collect runs once, the canonical-form candidates are fitted once
-//! ([`xtrace_extrap::fit_signature_candidates_obs`]), and the per-target
-//! tail (guarded selection, synthesis, convolution, validation) fans out
-//! across the rayon pool with ordered reassembly — every per-target
-//! prediction bit-identical to its standalone single-target run.
-//!
-//! Store reuse assumes stages compute pure functions of the config, which
-//! holds for the default stage set. Swapping in a custom stage disables
-//! the reuse that the swap could invalidate: a custom `Collect` disables
-//! the store entirely for that run; a custom `Fit`/`Synthesize`/
-//! `Convolve`/`Validate` disables the engine-level artifact reuse while
-//! keeping per-trace collection caching.
+//! A single target is a sweep of one, and the run is stage-major: Collect
+//! runs once, the canonical-form candidates are fitted once
+//! ([`xtrace_extrap::fit_signature_candidates_obs`]) and selected for
+//! every target that missed the store, in target order; Synthesize,
+//! Convolve and Validate each fan out over the targets on the rayon pool,
+//! and every target's observer calls are replayed in target order after
+//! the stage's join. Each per-target prediction is bit-identical to its
+//! standalone single-target run.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use xtrace_psins::{ground_truth_obs, relative_error, try_predict_runtime, Prediction};
+use xtrace_extrap::SignatureFit;
+use xtrace_obs::{FitDiagnostics, ObsContext, STAGE_PARENT};
+use xtrace_psins::{try_predict_runtime, Prediction};
 use xtrace_spmd::CriticalPathReport;
-use xtrace_tracer::{collect_signature_with_obs, TaskTrace};
+use xtrace_tracer::TaskTrace;
 
 use crate::config::{PipelineConfig, PipelineCtx};
-use crate::error::Result;
-use crate::stage::{
-    Collect, Convolve, DefaultCollect, DefaultConvolve, DefaultFit, DefaultSynthesize,
-    DefaultValidate, Fit, NullObserver, StageKind, StageObserver, Synthesize, Validate,
-};
+use crate::error::{Result, XtraceError};
+use crate::stage::{self, NullObserver, StageKind, StageObserver};
 use crate::store::ArtifactStore;
 
 /// Wall-clock time of one stage.
@@ -86,7 +82,9 @@ pub struct PipelineReport {
     pub prediction: Prediction,
     /// Validation against collection + ground truth, when enabled.
     pub validation: Option<Validation>,
-    /// Per-stage wall-clock timings, in execution order.
+    /// Per-stage wall-clock timings, in execution order: the shared
+    /// Collect and Fit stages, then this target's own share of
+    /// Synthesize, Convolve and Validate.
     pub timings: Vec<StageTiming>,
     /// Artifact-store lookups that were reused.
     pub cache_hits: usize,
@@ -103,8 +101,8 @@ pub struct PipelineReport {
     /// [`PipelineConfig::critical_path`](crate::PipelineConfig) is
     /// enabled (the default) and the app supports attribution; persisted
     /// as the `critical-path-t<T>` artifact, so store-resumed runs reload
-    /// it (`None` only when attribution is disabled, the store predates
-    /// the artifact, or a custom stage set disables engine artifacts).
+    /// it (`None` only when attribution is disabled or the app does not
+    /// support it).
     /// Purely diagnostic: the prediction is bit-identical either way.
     pub critical_path: Option<CriticalPathReport>,
 }
@@ -247,32 +245,299 @@ impl StageObserver for Counting<'_> {
     }
 }
 
-/// The engine: a resolved config plus one implementation per stage.
+/// One stage's bookkeeping around its work: observer callbacks, the
+/// wall-clock begin/end on the journal's "pipeline" lane, and the stage
+/// span under the pipeline parent.
+struct Brackets<'a> {
+    observer: &'a mut dyn StageObserver,
+    obs: &'a ObsContext,
+}
+
+impl Brackets<'_> {
+    fn open(&mut self, stage: StageKind) -> Instant {
+        self.observer.stage_started(stage);
+        self.obs.journal().begin(stage.label(), "pipeline", &[]);
+        Instant::now()
+    }
+
+    fn close(&mut self, stage: StageKind, start: Instant) -> f64 {
+        let seconds = start.elapsed().as_secs_f64();
+        self.observer.stage_finished(stage, seconds);
+        if let Some(rec) = self.obs.recorder() {
+            rec.record_span(Some(STAGE_PARENT), stage.label(), seconds);
+        }
+        self.obs.journal().end(stage.label(), "pipeline", &[]);
+        seconds
+    }
+
+    /// Forwards a lane's buffered observer calls, counting its cache
+    /// traffic into the lane.
+    fn replay(&mut self, lane: &mut Lane) {
+        for event in lane.events.0.drain(..) {
+            match event {
+                LaneEvent::Progress(stage, message) => self.observer.progress(stage, &message),
+                LaneEvent::Cache(stage, artifact, hit) => {
+                    if hit {
+                        lane.cache_hits += 1;
+                    } else {
+                        lane.cache_misses += 1;
+                    }
+                    self.observer.cache_event(stage, &artifact, hit);
+                }
+            }
+        }
+    }
+}
+
+/// An observer call a lane made, held for replay on the caller's thread.
+enum LaneEvent {
+    Progress(StageKind, String),
+    Cache(StageKind, String, bool),
+}
+
+/// Buffers a lane's observer calls while it runs off the caller's thread.
+#[derive(Default)]
+struct Replay(Vec<LaneEvent>);
+
+impl StageObserver for Replay {
+    fn progress(&mut self, stage: StageKind, message: &str) {
+        self.0.push(LaneEvent::Progress(stage, message.to_string()));
+    }
+    fn cache_event(&mut self, stage: StageKind, artifact: &str, hit: bool) {
+        self.0
+            .push(LaneEvent::Cache(stage, artifact.to_string(), hit));
+    }
+}
+
+/// The store names of one target's artifacts.
+struct ArtifactNames {
+    extrapolated: String,
+    diagnostics: String,
+    prediction: String,
+    critical_path: String,
+    validation: String,
+}
+
+impl ArtifactNames {
+    fn new(t: u32) -> Self {
+        Self {
+            extrapolated: format!("extrapolated-t{t}"),
+            diagnostics: format!("fit-diagnostics-t{t}"),
+            prediction: format!("prediction-t{t}"),
+            critical_path: format!("critical-path-t{t}"),
+            validation: format!("validation-t{t}"),
+        }
+    }
+}
+
+/// One target's way through the stages: what it resumed or computed so
+/// far, its own timings and cache counts, and the observer calls it has
+/// not replayed yet.
+struct Lane {
+    target: u32,
+    names: ArtifactNames,
+    fit: Option<SignatureFit>,
+    extrapolated: Option<TaskTrace>,
+    fit_diagnostics: Option<FitDiagnostics>,
+    prediction: Option<Prediction>,
+    critical_path: Option<CriticalPathReport>,
+    validation: Option<Validation>,
+    timings: Vec<StageTiming>,
+    cache_hits: usize,
+    cache_misses: usize,
+    events: Replay,
+}
+
+impl Lane {
+    /// Probes the store for the target's synthetic trace, which
+    /// short-circuits Fit and Synthesize, and on a hit reloads the fit
+    /// diagnostics filed with it.
+    fn probe(&mut self, ctx: &PipelineCtx) -> Result<()> {
+        let Some(store) = &ctx.store else {
+            return Ok(());
+        };
+        self.extrapolated = store.get_trace_json(&ctx.prefix_hash, &self.names.extrapolated)?;
+        self.events.cache_event(
+            StageKind::Synthesize,
+            &self.names.extrapolated,
+            self.extrapolated.is_some(),
+        );
+        if self.extrapolated.is_some() {
+            self.fit_diagnostics = store.get_json(&ctx.prefix_hash, &self.names.diagnostics)?;
+        }
+        Ok(())
+    }
+
+    /// This target's share of a fanned-out stage, with every store probe
+    /// and put the stage owns. `xs` are the sorted training counts.
+    fn advance(&mut self, stage: StageKind, ctx: &PipelineCtx, xs: &[f64]) -> Result<()> {
+        let start = Instant::now();
+        let t = self.target;
+        let store = ctx.store.as_ref();
+        let prefix = &ctx.prefix_hash;
+        let names = &self.names;
+        match stage {
+            StageKind::Synthesize => {
+                if let Some(fit) = self.fit.take() {
+                    // Diagnosing is a pure, deterministic function of the
+                    // fit, so it costs the same with and without a
+                    // recorder and is bit-identical across thread counts.
+                    let diagnostics = xtrace_extrap::diagnose_fit(&fit, xs, &ctx.extrap);
+                    if let Some(store) = store {
+                        store.put_json(prefix, &names.diagnostics, &diagnostics)?;
+                    }
+                    self.fit_diagnostics = Some(diagnostics);
+                    let trace = xtrace_extrap::synthesize_from_fit(&fit);
+                    if let Some(store) = store {
+                        store.put_trace_json(prefix, &names.extrapolated, &trace)?;
+                    }
+                    self.extrapolated = Some(trace);
+                }
+            }
+            StageKind::Convolve => {
+                let extrapolated = self
+                    .extrapolated
+                    .as_ref()
+                    .expect("every lane is synthesized or resumed before Convolve");
+                // With critical-path attribution on, the attributed
+                // profiling pass replaces the plain one: one simulation
+                // yields both the comm profile and the artifact, and the
+                // prediction stays bit-identical because attribution only
+                // observes.
+                let want_critical = ctx.config.critical_path;
+                if want_critical {
+                    if let Some(store) = store {
+                        self.critical_path = store.get_json(prefix, &names.critical_path)?;
+                        self.events.cache_event(
+                            StageKind::Convolve,
+                            &names.critical_path,
+                            self.critical_path.is_some(),
+                        );
+                    }
+                }
+                let attribute = want_critical && self.critical_path.is_none();
+                let cached = match store {
+                    Some(store) => {
+                        let hit = store.get_json::<Prediction>(prefix, &names.prediction)?;
+                        self.events.cache_event(
+                            StageKind::Convolve,
+                            &names.prediction,
+                            hit.is_some(),
+                        );
+                        hit
+                    }
+                    None => None,
+                };
+                let prediction = match cached {
+                    Some(p) => {
+                        // Prediction reused but attribution absent (the
+                        // store predates the artifact): attribute now,
+                        // without re-predicting.
+                        if attribute {
+                            self.critical_path = ctx.app.comm_attr_obs(t, &ctx.obs).1;
+                        }
+                        p
+                    }
+                    None => {
+                        let comm = if attribute {
+                            let (comm, fresh) = ctx.app.comm_attr_obs(t, &ctx.obs);
+                            self.critical_path = fresh;
+                            comm
+                        } else {
+                            ctx.app.comm_obs(t, &ctx.obs)
+                        };
+                        let p = try_predict_runtime(extrapolated, &comm, &ctx.machine)?;
+                        if let Some(store) = store {
+                            store.put_json(prefix, &names.prediction, &p)?;
+                        }
+                        p
+                    }
+                };
+                if attribute {
+                    if let (Some(store), Some(c)) = (store, &self.critical_path) {
+                        store.put_json(prefix, &names.critical_path, c)?;
+                    }
+                }
+                self.prediction = Some(prediction);
+            }
+            StageKind::Validate if ctx.config.validate => {
+                if let Some(store) = store {
+                    self.validation = store.get_json(prefix, &names.validation)?;
+                    self.events.cache_event(
+                        StageKind::Validate,
+                        &names.validation,
+                        self.validation.is_some(),
+                    );
+                }
+                if self.validation.is_none() {
+                    let prediction = self
+                        .prediction
+                        .as_ref()
+                        .expect("every lane is convolved before Validate");
+                    let v = stage::validate(ctx, &mut self.events, t, prediction)?;
+                    if let Some(store) = store {
+                        store.put_json(prefix, &names.validation, &v)?;
+                    }
+                    self.validation = Some(v);
+                }
+            }
+            StageKind::Validate | StageKind::Collect | StageKind::Fit => {}
+        }
+        self.timings.push(StageTiming {
+            stage,
+            seconds: start.elapsed().as_secs_f64(),
+        });
+        Ok(())
+    }
+
+    fn into_report(self, ctx: &PipelineCtx) -> PipelineReport {
+        PipelineReport {
+            config_hash: ctx.config.for_target(self.target).config_hash(),
+            prefix_hash: ctx.prefix_hash.clone(),
+            training_counts: ctx.config.training.clone(),
+            extrapolated: self.extrapolated.expect("Synthesize fills every lane"),
+            prediction: self.prediction.expect("Convolve fills every lane"),
+            validation: self.validation,
+            timings: self.timings,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            fit_diagnostics: self.fit_diagnostics,
+            critical_path: self.critical_path,
+        }
+    }
+}
+
+/// Runs `stage` for every lane on the rayon pool, results in lane order.
+/// The pool lends only shared references, so each lane travels in its
+/// own `Mutex`, which only the one worker that runs the lane locks; a
+/// panic in a lane unwinds through the pool's join, so no poisoned lock
+/// is ever read.
+fn fan_out(lanes: Vec<Lane>, stage: StageKind, ctx: &PipelineCtx, xs: &[f64]) -> Result<Vec<Lane>> {
+    const UNPOISONED: &str = "a lane's panic unwinds through the join";
+    let cells: Vec<Mutex<Lane>> = lanes.into_iter().map(Mutex::new).collect();
+    cells
+        .par_iter()
+        .map(|cell| cell.lock().expect(UNPOISONED).advance(stage, ctx, xs))
+        .collect::<Result<Vec<()>>>()?;
+    Ok(cells
+        .into_iter()
+        .map(|cell| cell.into_inner().expect(UNPOISONED))
+        .collect())
+}
+
+/// The engine: a resolved config, an optional store, and a progress
+/// observer.
 pub struct Pipeline {
     ctx: PipelineCtx,
     observer: Box<dyn StageObserver>,
-    collect: Box<dyn Collect>,
-    fit: Box<dyn Fit>,
-    synthesize: Box<dyn Synthesize>,
-    convolve: Box<dyn Convolve>,
-    validate: Box<dyn Validate>,
-    custom_collect: bool,
-    custom_downstream: bool,
 }
 
 impl Pipeline {
-    /// Builds a pipeline with the default stage set.
+    /// Builds a pipeline for `config`.
     pub fn new(config: PipelineConfig) -> Result<Self> {
         Ok(Self {
             ctx: config.resolve()?,
             observer: Box::new(NullObserver),
-            collect: Box::new(DefaultCollect),
-            fit: Box::new(DefaultFit),
-            synthesize: Box::new(DefaultSynthesize),
-            convolve: Box::new(DefaultConvolve),
-            validate: Box::new(DefaultValidate),
-            custom_collect: false,
-            custom_downstream: false,
         })
     }
 
@@ -304,7 +569,7 @@ impl Pipeline {
     /// recorder is scoped to this run; nothing is installed
     /// process-globally, so concurrent pipelines never share counters.
     pub fn with_recorder(self, recorder: std::sync::Arc<xtrace_obs::Recorder>) -> Self {
-        self.with_obs(xtrace_obs::ObsContext::with_recorder(recorder))
+        self.with_obs(ObsContext::with_recorder(recorder))
     }
 
     /// Attaches the observability context every stage, kernel, and store
@@ -314,63 +579,44 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the Collect stage (disables store reuse for this run).
-    pub fn with_collect(mut self, stage: Box<dyn Collect>) -> Self {
-        self.collect = stage;
-        self.custom_collect = true;
-        self
-    }
-
-    /// Replaces the Fit stage (disables engine-level artifact reuse).
-    pub fn with_fit(mut self, stage: Box<dyn Fit>) -> Self {
-        self.fit = stage;
-        self.custom_downstream = true;
-        self
-    }
-
-    /// Replaces the Synthesize stage (disables engine-level artifact
-    /// reuse).
-    pub fn with_synthesize(mut self, stage: Box<dyn Synthesize>) -> Self {
-        self.synthesize = stage;
-        self.custom_downstream = true;
-        self
-    }
-
-    /// Replaces the Convolve stage (disables engine-level artifact
-    /// reuse).
-    pub fn with_convolve(mut self, stage: Box<dyn Convolve>) -> Self {
-        self.convolve = stage;
-        self.custom_downstream = true;
-        self
-    }
-
-    /// Replaces the Validate stage (disables engine-level artifact
-    /// reuse).
-    pub fn with_validate(mut self, stage: Box<dyn Validate>) -> Self {
-        self.validate = stage;
-        self.custom_downstream = true;
-        self
-    }
-
     /// The resolved inputs (read-only).
     pub fn ctx(&self) -> &PipelineCtx {
         &self.ctx
     }
 
-    /// Runs Collect → Fit → Synthesize → Convolve → Validate.
+    /// Runs Collect → Fit → Synthesize → Convolve → Validate for the
+    /// config's one target: [`Pipeline::run_sweep`] over a sweep of one.
     ///
-    /// Single-target only: a config carrying a multi-target sweep list
-    /// must go through [`Pipeline::run_sweep`] (an error here, so a sweep
-    /// is never silently truncated to its first target).
+    /// A config carrying a multi-target sweep list is an error here, so a
+    /// sweep is never silently truncated to its first target.
     pub fn run(&mut self) -> Result<PipelineReport> {
         if self.ctx.config.effective_targets().len() > 1 {
-            return Err(crate::error::XtraceError::Usage(
+            return Err(XtraceError::Usage(
                 "config sweeps multiple targets; use run_sweep".into(),
             ));
         }
-        if self.custom_collect {
-            self.ctx.store = None;
-        }
+        let mut sweep = self.run_sweep()?;
+        Ok(sweep.reports.pop().expect("one report per target"))
+    }
+
+    /// Runs every target of the config's sweep over one shared prefix.
+    ///
+    /// Collect executes once and the canonical-form candidates are fitted
+    /// once (only when some target missed the store), then selected per
+    /// missing target in target order. Synthesize, Convolve and Validate
+    /// each fan out over the targets across the rayon pool. Each
+    /// per-target prediction is bit-identical to a standalone run at that
+    /// target (selection is a pure function of the shared candidates),
+    /// and each per-target artifact lands under the shared prefix
+    /// namespace, so sweeps and standalone runs warm each other.
+    ///
+    /// Observability is stage-major too: one bracket (observer callbacks,
+    /// journal begin/end, span) per stage, whatever the target count;
+    /// each report's `timings` carry its own share of the fanned-out
+    /// stages, and per-target observer calls are replayed in target order
+    /// after each stage's join. Counter totals are exact; gauges written
+    /// from concurrent lanes are last-writer-wins.
+    pub fn run_sweep(&mut self) -> Result<SweepReport> {
         // Bind the store's counters to this run's context, so `store.*`
         // metrics land in the run's snapshot even when other runs share
         // the store handle. Without a context the store drops its
@@ -380,26 +626,9 @@ impl Pipeline {
                 self.ctx.store = Some(store.with_obs(self.ctx.obs.clone()));
             }
         }
-        let hash = self.ctx.config_hash.clone();
-        let prefix = self.ctx.prefix_hash.clone();
-        let target = self.ctx.config.target;
-        let engine_store = if self.custom_downstream {
-            None
-        } else {
-            self.ctx.store.clone()
-        };
-        let mut obs = Counting {
-            inner: self.observer.as_mut(),
-            hits: 0,
-            misses: 0,
-        };
-        let mut timings = Vec::with_capacity(5);
-
-        // Observability: stages and kernels all receive ctx.obs, so every
-        // counter lands next to this run's stage spans — no process-global
-        // state, and concurrent runs stay isolated.
-        let recorder = self.ctx.obs.recorder().cloned();
-        if let Some(rec) = &recorder {
+        let ctx = &self.ctx;
+        let recorder = ctx.obs.recorder();
+        if let Some(rec) = recorder {
             // Pre-register the headline counters so every snapshot carries
             // them (reading zero when the run never touches that path —
             // e.g. ConvolveCache is only exercised by the replay
@@ -422,700 +651,105 @@ impl Pipeline {
             }
             m.gauge("spmd.rank_classes");
         }
-        // Journal: wall-clock begin/end per stage on the "pipeline" lane
-        // (the no-op handle when the recorder has no journal). Stage
-        // kernels emit their own fine-grained events through the same
-        // context.
-        let journal = self.ctx.obs.journal();
+        let journal = ctx.obs.journal();
         let run_start = Instant::now();
-        journal.begin(xtrace_obs::STAGE_PARENT, "pipeline", &[]);
-        let stage_begin = |stage: StageKind| {
-            journal.begin(stage.label(), "pipeline", &[]);
-        };
-        let stage_span = |stage: StageKind, seconds: f64| {
-            if let Some(rec) = &recorder {
-                rec.record_span(Some(xtrace_obs::STAGE_PARENT), stage.label(), seconds);
-            }
-            journal.end(stage.label(), "pipeline", &[]);
+        journal.begin(STAGE_PARENT, "pipeline", &[]);
+        let mut brackets = Brackets {
+            observer: self.observer.as_mut(),
+            obs: &ctx.obs,
         };
 
-        // Collect. Per-trace caching lives inside DefaultCollect.
-        obs.stage_started(StageKind::Collect);
-        stage_begin(StageKind::Collect);
-        let t = Instant::now();
-        let traces = self.collect.collect(&self.ctx, &mut obs)?;
-        let dt = t.elapsed().as_secs_f64();
-        obs.stage_finished(StageKind::Collect, dt);
-        timings.push(StageTiming {
-            stage: StageKind::Collect,
-            seconds: dt,
-        });
-        stage_span(StageKind::Collect, dt);
-
-        // Fit + Synthesize, short-circuited together by a filed synthetic
-        // trace (a SignatureFit is an intermediate and is not persisted).
-        let extrapolated_name = format!("extrapolated-t{target}");
-        let diagnostics_name = format!("fit-diagnostics-t{target}");
-        let cached = match &engine_store {
-            Some(store) => {
-                let hit = store.get_trace_json(&prefix, &extrapolated_name)?;
-                if hit.is_none() {
-                    store.note_legacy_miss(&hash, "extrapolated.json");
-                }
-                obs.cache_event(StageKind::Synthesize, &extrapolated_name, hit.is_some());
-                hit
-            }
-            None => None,
-        };
-        let mut fit_diagnostics: Option<xtrace_obs::FitDiagnostics> = None;
-        let extrapolated = match cached {
-            Some(trace) => {
-                for stage in [StageKind::Fit, StageKind::Synthesize] {
-                    obs.stage_started(stage);
-                    stage_begin(stage);
-                    obs.stage_finished(stage, 0.0);
-                    timings.push(StageTiming {
-                        stage,
-                        seconds: 0.0,
-                    });
-                    stage_span(stage, 0.0);
-                }
-                // The Fit stage was skipped; reload its diagnostics from
-                // the store (absent when the store predates them).
-                if let Some(store) = &engine_store {
-                    fit_diagnostics =
-                        store.get_json::<xtrace_obs::FitDiagnostics>(&prefix, &diagnostics_name)?;
-                }
-                trace
-            }
-            None => {
-                obs.stage_started(StageKind::Fit);
-                stage_begin(StageKind::Fit);
-                let t = Instant::now();
-                let fit = self.fit.fit(&self.ctx, &mut obs, &traces)?;
-                let dt = t.elapsed().as_secs_f64();
-                obs.stage_finished(StageKind::Fit, dt);
-                timings.push(StageTiming {
-                    stage: StageKind::Fit,
-                    seconds: dt,
-                });
-                stage_span(StageKind::Fit, dt);
-
-                // Diagnose the fit outside the stage timing: a pure,
-                // deterministic function of the fit, so it costs the same
-                // with and without a recorder and is bit-identical across
-                // thread counts.
-                let mut xs: Vec<f64> = self
-                    .ctx
-                    .config
-                    .training
-                    .iter()
-                    .map(|&p| f64::from(p))
-                    .collect();
-                xs.sort_by(f64::total_cmp);
-                let diagnostics = xtrace_extrap::diagnose_fit(&fit, &xs, &self.ctx.extrap);
-                if let Some(store) = &engine_store {
-                    store.put_json(&prefix, &diagnostics_name, &diagnostics)?;
-                }
-                fit_diagnostics = Some(diagnostics);
-
-                obs.stage_started(StageKind::Synthesize);
-                stage_begin(StageKind::Synthesize);
-                let t = Instant::now();
-                let trace = self.synthesize.synthesize(&self.ctx, &mut obs, &fit)?;
-                let dt = t.elapsed().as_secs_f64();
-                obs.stage_finished(StageKind::Synthesize, dt);
-                timings.push(StageTiming {
-                    stage: StageKind::Synthesize,
-                    seconds: dt,
-                });
-                stage_span(StageKind::Synthesize, dt);
-                if let Some(store) = &engine_store {
-                    store.put_trace_json(&prefix, &extrapolated_name, &trace)?;
-                }
-                trace
-            }
-        };
-
-        // Convolve. When critical-path attribution is on (and the stage
-        // set is the default, so the engine knows the convolution's
-        // shape), the attributed profiling pass replaces the plain one —
-        // a single simulation yields both the comm profile and the
-        // `critical-path-t<T>` artifact, and the prediction stays
-        // bit-identical because attribution only observes.
-        obs.stage_started(StageKind::Convolve);
-        stage_begin(StageKind::Convolve);
-        let t = Instant::now();
-        let want_critical = self.ctx.config.critical_path && !self.custom_downstream;
-        let critical_name = format!("critical-path-t{target}");
-        let mut critical: Option<CriticalPathReport> = None;
-        if want_critical {
-            if let Some(store) = &engine_store {
-                let hit = store.get_json::<CriticalPathReport>(&prefix, &critical_name)?;
-                if hit.is_none() {
-                    store.note_legacy_miss(&hash, "critical-path.json");
-                }
-                obs.cache_event(StageKind::Convolve, &critical_name, hit.is_some());
-                critical = hit;
-            }
-        }
-        let critical_cached = critical.is_some();
-        let prediction_name = format!("prediction-t{target}");
-        let cached = match &engine_store {
-            Some(store) => {
-                let hit = store.get_json::<Prediction>(&prefix, &prediction_name)?;
-                if hit.is_none() {
-                    store.note_legacy_miss(&hash, "prediction.json");
-                }
-                obs.cache_event(StageKind::Convolve, &prediction_name, hit.is_some());
-                hit
-            }
-            None => None,
-        };
-        let prediction = match cached {
-            Some(p) => {
-                // Prediction reused but attribution absent (store predates
-                // the artifact): attribute now, without re-predicting.
-                if want_critical && !critical_cached {
-                    critical = self.ctx.app.comm_attr_obs(target, &self.ctx.obs).1;
-                }
-                p
-            }
-            None => {
-                let p = if want_critical && !critical_cached {
-                    // Inline the default convolution around the attributed
-                    // profile (want_critical implies the stage is
-                    // DefaultConvolve, whose body this mirrors).
-                    let (comm, fresh) = self.ctx.app.comm_attr_obs(target, &self.ctx.obs);
-                    critical = fresh;
-                    try_predict_runtime(&extrapolated, &comm, &self.ctx.machine)?
-                } else {
-                    self.convolve.convolve(&self.ctx, &mut obs, &extrapolated)?
-                };
-                if let Some(store) = &engine_store {
-                    store.put_json(&prefix, &prediction_name, &p)?;
-                }
-                p
-            }
-        };
-        if want_critical && !critical_cached {
-            if let (Some(store), Some(c)) = (&engine_store, &critical) {
-                store.put_json(&prefix, &critical_name, c)?;
-            }
-        }
-        let dt = t.elapsed().as_secs_f64();
-        obs.stage_finished(StageKind::Convolve, dt);
-        timings.push(StageTiming {
-            stage: StageKind::Convolve,
-            seconds: dt,
-        });
-        stage_span(StageKind::Convolve, dt);
-
-        // Validate (only when the config asks for it).
-        obs.stage_started(StageKind::Validate);
-        stage_begin(StageKind::Validate);
-        let t = Instant::now();
-        let validation_name = format!("validation-t{target}");
-        let cached = match &engine_store {
-            Some(store) if self.ctx.config.validate => {
-                let hit = store.get_json::<Validation>(&prefix, &validation_name)?;
-                if hit.is_none() {
-                    store.note_legacy_miss(&hash, "validation.json");
-                }
-                obs.cache_event(StageKind::Validate, &validation_name, hit.is_some());
-                hit
-            }
-            _ => None,
-        };
-        let validation = match cached {
-            Some(v) => Some(v),
-            None => {
-                let v = self.validate.validate(&self.ctx, &mut obs, &prediction)?;
-                if let (Some(store), Some(v)) = (&engine_store, &v) {
-                    store.put_json(&prefix, &validation_name, v)?;
-                }
-                v
-            }
-        };
-        let dt = t.elapsed().as_secs_f64();
-        obs.stage_finished(StageKind::Validate, dt);
-        timings.push(StageTiming {
-            stage: StageKind::Validate,
-            seconds: dt,
-        });
-        stage_span(StageKind::Validate, dt);
-
-        if let Some(rec) = &recorder {
-            rec.record_span(
-                None,
-                xtrace_obs::STAGE_PARENT,
-                run_start.elapsed().as_secs_f64(),
-            );
-        }
-        journal.end(xtrace_obs::STAGE_PARENT, "pipeline", &[]);
-
-        Ok(PipelineReport {
-            config_hash: hash,
-            prefix_hash: prefix,
-            training_counts: self.ctx.config.training.clone(),
-            extrapolated,
-            prediction,
-            validation,
-            timings,
-            cache_hits: obs.hits,
-            cache_misses: obs.misses,
-            fit_diagnostics,
-            critical_path: critical,
-        })
-    }
-
-    /// Runs every target of the config's sweep over one shared prefix.
-    ///
-    /// Collect executes once and the canonical-form candidate fits are
-    /// computed once; the per-target tail — guarded selection, synthesis,
-    /// convolution, validation — fans out across the rayon pool and is
-    /// reassembled in target order. Each per-target prediction is
-    /// bit-identical to a standalone [`Pipeline::run`] at that target
-    /// (selection is a pure function of the shared candidates), and each
-    /// per-target artifact lands under the shared prefix namespace, so
-    /// sweeps and standalone runs warm each other.
-    ///
-    /// Custom stages are single-target by construction (their traits see
-    /// one `ctx.config.target`), so any stage swap makes this an error —
-    /// run each target through [`Pipeline::run`] instead. A one-target
-    /// sweep simply delegates to [`Pipeline::run`].
-    ///
-    /// Observability in sweep mode: the Synthesize stage bracket covers
-    /// the whole fan-out wall time, Convolve/Validate brackets read zero
-    /// (their work happened inside the fan-out), each target adds a
-    /// `target-<T>` span under the pipeline parent plus a journal instant
-    /// on its own `t<T>` lane, and per-target cache events are replayed in
-    /// target order after the join. Counter totals are exact; gauges
-    /// written from concurrent tails are last-writer-wins.
-    pub fn run_sweep(&mut self) -> Result<SweepReport> {
-        if self.custom_collect || self.custom_downstream {
-            return Err(crate::error::XtraceError::Usage(
-                "custom stages are single-target; run each sweep target through run()".into(),
-            ));
-        }
-        let targets = self.ctx.config.effective_targets();
-        if targets.len() == 1 {
-            let report = self.run()?;
-            let prefix_seconds = report
-                .timings
-                .iter()
-                .filter(|t| matches!(t.stage, StageKind::Collect | StageKind::Fit))
-                .map(|t| t.seconds)
-                .sum();
-            return Ok(SweepReport {
-                prefix_hash: report.prefix_hash.clone(),
-                targets,
-                reports: vec![report],
-                prefix_seconds,
-            });
-        }
-
-        if self.ctx.obs.enabled() {
-            if let Some(store) = self.ctx.store.take() {
-                self.ctx.store = Some(store.with_obs(self.ctx.obs.clone()));
-            }
-        }
-        let prefix = self.ctx.prefix_hash.clone();
-        let engine_store = self.ctx.store.clone();
-        let mut obs = Counting {
-            inner: self.observer.as_mut(),
+        // Collect: once for every target (fully target-independent).
+        let start = brackets.open(StageKind::Collect);
+        let mut counting = Counting {
+            inner: &mut *brackets.observer,
             hits: 0,
             misses: 0,
         };
-
-        let recorder = self.ctx.obs.recorder().cloned();
-        if let Some(rec) = &recorder {
-            let m = rec.metrics();
-            for name in [
-                "tracer.sig_memo.hits",
-                "tracer.sig_memo.misses",
-                "tracer.blocks_simulated",
-                "store.hits",
-                "store.misses",
-                "store.writes",
-                "extrap.elements_fit",
-                "spmd.events_stepped",
-                "psins.groups_convolved",
-                "psins.convolve_cache.hits",
-                "psins.convolve_cache.misses",
-            ] {
-                m.counter(name);
-            }
-            m.gauge("spmd.rank_classes");
-        }
-        let journal = self.ctx.obs.journal();
-        let run_start = Instant::now();
-        journal.begin(xtrace_obs::STAGE_PARENT, "pipeline", &[]);
-        let stage_begin = |stage: StageKind| {
-            journal.begin(stage.label(), "pipeline", &[]);
-        };
-        let stage_span = |stage: StageKind, seconds: f64| {
-            if let Some(rec) = &recorder {
-                rec.record_span(Some(xtrace_obs::STAGE_PARENT), stage.label(), seconds);
-            }
-            journal.end(stage.label(), "pipeline", &[]);
+        let traces = stage::collect(ctx, &mut counting)?;
+        let (hits, misses) = (counting.hits, counting.misses);
+        let collect = StageTiming {
+            stage: StageKind::Collect,
+            seconds: brackets.close(StageKind::Collect, start),
         };
 
-        // Collect: once for the whole sweep (fully target-independent).
-        obs.stage_started(StageKind::Collect);
-        stage_begin(StageKind::Collect);
-        let t = Instant::now();
-        let traces = self.collect.collect(&self.ctx, &mut obs)?;
-        let collect_seconds = t.elapsed().as_secs_f64();
-        obs.stage_finished(StageKind::Collect, collect_seconds);
-        stage_span(StageKind::Collect, collect_seconds);
-        let collect_hits = obs.hits;
-        let collect_misses = obs.misses;
-
-        // Plan each target: probe its filed synthetic trace so the
-        // candidate fit is skipped entirely when every tail can resume.
-        struct TargetPlan {
-            target: u32,
-            full_hash: String,
-            probe_hit: bool,
-            cached_trace: Option<TaskTrace>,
-            cached_diagnostics: Option<xtrace_obs::FitDiagnostics>,
-        }
-        let mut plans = Vec::with_capacity(targets.len());
-        for &t in &targets {
-            let full_hash = self.ctx.config.for_target(t).config_hash();
-            let extrapolated_name = format!("extrapolated-t{t}");
-            let mut cached_trace = None;
-            let mut cached_diagnostics = None;
-            if let Some(store) = &engine_store {
-                cached_trace = store.get_trace_json(&prefix, &extrapolated_name)?;
-                if cached_trace.is_none() {
-                    store.note_legacy_miss(&full_hash, "extrapolated.json");
-                } else {
-                    cached_diagnostics = store.get_json::<xtrace_obs::FitDiagnostics>(
-                        &prefix,
-                        &format!("fit-diagnostics-t{t}"),
-                    )?;
-                }
-                obs.cache_event(
-                    StageKind::Synthesize,
-                    &extrapolated_name,
-                    cached_trace.is_some(),
-                );
-            }
-            plans.push(TargetPlan {
-                target: t,
-                full_hash,
-                probe_hit: cached_trace.is_some(),
-                cached_trace,
-                cached_diagnostics,
-            });
-        }
-
-        // Fit: the canonical-form candidates once, shared by every target
-        // (skipped when every target resumed its synthetic trace).
-        let need_fit = plans.iter().any(|p| p.cached_trace.is_none());
-        obs.stage_started(StageKind::Fit);
-        stage_begin(StageKind::Fit);
-        let t = Instant::now();
-        let candidates = if need_fit {
-            Some(xtrace_extrap::fit_signature_candidates_obs(
-                &traces,
-                &self.ctx.extrap,
-                &self.ctx.obs,
-            )?)
-        } else {
-            None
-        };
-        let fit_seconds = t.elapsed().as_secs_f64();
-        obs.stage_finished(StageKind::Fit, fit_seconds);
-        stage_span(StageKind::Fit, fit_seconds);
-
-        let mut xs: Vec<f64> = self
-            .ctx
-            .config
-            .training
-            .iter()
-            .map(|&p| f64::from(p))
-            .collect();
-        xs.sort_by(f64::total_cmp);
-
-        // The per-target tail, fanned out across the rayon pool. Each
-        // worker reports its cache events and timings back through a
-        // plain value; they are replayed into the observer after the
-        // join, in target order, so external observers see a
-        // deterministic sequence.
-        struct TargetTail {
-            extrapolated: TaskTrace,
-            prediction: Prediction,
-            validation: Option<Validation>,
-            fit_diagnostics: Option<xtrace_obs::FitDiagnostics>,
-            critical_path: Option<CriticalPathReport>,
-            events: Vec<(StageKind, String, bool)>,
-            synth_seconds: f64,
-            convolve_seconds: f64,
-            validate_seconds: f64,
-        }
-        let ctx = &self.ctx;
-        let candidates_ref = candidates.as_ref();
-        let xs_ref = &xs;
-        let prefix_ref = &prefix;
-        let store_ref = &engine_store;
-        let tail = |plan: &TargetPlan| -> Result<TargetTail> {
-            let t = plan.target;
-            let mut events = Vec::new();
-            let t0 = Instant::now();
-            let (extrapolated, fit_diagnostics) = match &plan.cached_trace {
-                Some(trace) => (trace.clone(), plan.cached_diagnostics.clone()),
-                None => {
-                    let candidates =
-                        candidates_ref.expect("candidates fitted when any target missed");
-                    let fit = candidates.select_obs(t, &ctx.obs)?;
-                    let diagnostics = xtrace_extrap::diagnose_fit(&fit, xs_ref, &ctx.extrap);
-                    if let Some(store) = store_ref {
-                        store.put_json(
-                            prefix_ref,
-                            &format!("fit-diagnostics-t{t}"),
-                            &diagnostics,
-                        )?;
-                    }
-                    let trace = xtrace_extrap::synthesize_from_fit(&fit);
-                    if let Some(store) = store_ref {
-                        store.put_trace_json(prefix_ref, &format!("extrapolated-t{t}"), &trace)?;
-                    }
-                    (trace, Some(diagnostics))
-                }
-            };
-            let synth_seconds = t0.elapsed().as_secs_f64();
-
-            let t1 = Instant::now();
-            // Mirrors run(): the attributed profiling pass replaces the
-            // plain one when critical-path attribution is on, so one
-            // simulation serves both the prediction and the artifact.
-            let want_critical = ctx.config.critical_path;
-            let critical_name = format!("critical-path-t{t}");
-            let mut critical: Option<CriticalPathReport> = None;
-            if want_critical {
-                if let Some(store) = store_ref {
-                    let hit = store.get_json::<CriticalPathReport>(prefix_ref, &critical_name)?;
-                    if hit.is_none() {
-                        store.note_legacy_miss(&plan.full_hash, "critical-path.json");
-                    }
-                    events.push((StageKind::Convolve, critical_name.clone(), hit.is_some()));
-                    critical = hit;
-                }
-            }
-            let critical_cached = critical.is_some();
-            let prediction_name = format!("prediction-t{t}");
-            let cached = match store_ref {
-                Some(store) => {
-                    let hit = store.get_json::<Prediction>(prefix_ref, &prediction_name)?;
-                    if hit.is_none() {
-                        store.note_legacy_miss(&plan.full_hash, "prediction.json");
-                    }
-                    events.push((StageKind::Convolve, prediction_name.clone(), hit.is_some()));
-                    hit
-                }
-                None => None,
-            };
-            let prediction = match cached {
-                Some(p) => {
-                    if want_critical && !critical_cached {
-                        critical = ctx.app.comm_attr_obs(t, &ctx.obs).1;
-                    }
-                    p
-                }
-                None => {
-                    let comm = if want_critical && !critical_cached {
-                        let (comm, fresh) = ctx.app.comm_attr_obs(t, &ctx.obs);
-                        critical = fresh;
-                        comm
-                    } else {
-                        ctx.app.comm_obs(t, &ctx.obs)
-                    };
-                    let p = try_predict_runtime(&extrapolated, &comm, &ctx.machine)?;
-                    if let Some(store) = store_ref {
-                        store.put_json(prefix_ref, &prediction_name, &p)?;
-                    }
-                    p
-                }
-            };
-            if want_critical && !critical_cached {
-                if let (Some(store), Some(c)) = (store_ref, &critical) {
-                    store.put_json(prefix_ref, &critical_name, c)?;
-                }
-            }
-            let convolve_seconds = t1.elapsed().as_secs_f64();
-
-            let t2 = Instant::now();
-            let validation = if ctx.config.validate {
-                let validation_name = format!("validation-t{t}");
-                let cached = match store_ref {
-                    Some(store) => {
-                        let hit = store.get_json::<Validation>(prefix_ref, &validation_name)?;
-                        if hit.is_none() {
-                            store.note_legacy_miss(&plan.full_hash, "validation.json");
-                        }
-                        events.push((StageKind::Validate, validation_name.clone(), hit.is_some()));
-                        hit
-                    }
-                    None => None,
-                };
-                match cached {
-                    Some(v) => Some(v),
-                    None => {
-                        let sig = collect_signature_with_obs(
-                            ctx.app.spmd(),
-                            t,
-                            &ctx.machine,
-                            &ctx.tracer,
-                            &ctx.obs,
-                        );
-                        let collected =
-                            try_predict_runtime(sig.longest_task(), &sig.comm, &ctx.machine)?;
-                        let gt = ground_truth_obs(
-                            ctx.app.spmd(),
-                            t,
-                            &ctx.machine,
-                            &ctx.tracer,
-                            &ctx.obs,
-                        );
-                        let v = Validation {
-                            extrapolated_error: relative_error(
-                                prediction.total_seconds,
-                                gt.total_seconds,
-                            ),
-                            collected_error: relative_error(
-                                collected.total_seconds,
-                                gt.total_seconds,
-                            ),
-                            collected,
-                            measured_seconds: gt.total_seconds,
-                        };
-                        if let Some(store) = store_ref {
-                            store.put_json(prefix_ref, &validation_name, &v)?;
-                        }
-                        Some(v)
-                    }
-                }
-            } else {
-                None
-            };
-            let validate_seconds = t2.elapsed().as_secs_f64();
-
-            Ok(TargetTail {
-                extrapolated,
-                prediction,
-                validation,
-                fit_diagnostics,
-                critical_path: critical,
-                events,
-                synth_seconds,
-                convolve_seconds,
-                validate_seconds,
-            })
-        };
-
-        // Synthesize bracket = the whole fan-out (selection + synthesis
-        // dominate the tail); Convolve/Validate brackets read zero — their
-        // per-target wall time lives in each report's timings instead.
-        obs.stage_started(StageKind::Synthesize);
-        stage_begin(StageKind::Synthesize);
-        let t = Instant::now();
-        let tails: Result<Vec<TargetTail>> = plans.par_iter().map(tail).collect();
-        let tails = tails?;
-        let fanout_seconds = t.elapsed().as_secs_f64();
-        obs.stage_finished(StageKind::Synthesize, fanout_seconds);
-        stage_span(StageKind::Synthesize, fanout_seconds);
-        for stage in [StageKind::Convolve, StageKind::Validate] {
-            obs.stage_started(stage);
-            stage_begin(stage);
-            obs.stage_finished(stage, 0.0);
-            stage_span(stage, 0.0);
-        }
-
-        // Ordered reassembly: replay every tail's cache events and emit
-        // its per-target span + journal lane, in target order.
-        let mut reports = Vec::with_capacity(plans.len());
-        for (plan, tail) in plans.into_iter().zip(tails) {
-            let t = plan.target;
-            let tail_seconds = tail.synth_seconds + tail.convolve_seconds + tail.validate_seconds;
-            if let Some(rec) = &recorder {
-                rec.record_span(
-                    Some(xtrace_obs::STAGE_PARENT),
-                    &format!("target-{t}"),
-                    tail_seconds,
-                );
-            }
-            journal.instant(
-                &format!("target-{t}"),
-                &format!("t{t}"),
-                &[
-                    ("prediction_s", tail.prediction.total_seconds),
-                    ("tail_s", tail_seconds),
-                ],
-            );
-            let mut hits = collect_hits + usize::from(plan.probe_hit);
-            let mut misses =
-                collect_misses + usize::from(engine_store.is_some() && !plan.probe_hit);
-            for (stage, artifact, hit) in &tail.events {
-                obs.cache_event(*stage, artifact, *hit);
-                if *hit {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-            reports.push(PipelineReport {
-                config_hash: plan.full_hash,
-                prefix_hash: prefix.clone(),
-                training_counts: self.ctx.config.training.clone(),
-                extrapolated: tail.extrapolated,
-                prediction: tail.prediction,
-                validation: tail.validation,
-                timings: vec![
-                    StageTiming {
-                        stage: StageKind::Collect,
-                        seconds: collect_seconds,
-                    },
-                    StageTiming {
-                        stage: StageKind::Fit,
-                        seconds: fit_seconds,
-                    },
-                    StageTiming {
-                        stage: StageKind::Synthesize,
-                        seconds: tail.synth_seconds,
-                    },
-                    StageTiming {
-                        stage: StageKind::Convolve,
-                        seconds: tail.convolve_seconds,
-                    },
-                    StageTiming {
-                        stage: StageKind::Validate,
-                        seconds: tail.validate_seconds,
-                    },
-                ],
+        let targets = ctx.config.effective_targets();
+        let mut lanes = Vec::with_capacity(targets.len());
+        for &target in &targets {
+            let mut lane = Lane {
+                target,
+                names: ArtifactNames::new(target),
+                fit: None,
+                extrapolated: None,
+                fit_diagnostics: None,
+                prediction: None,
+                critical_path: None,
+                validation: None,
+                timings: vec![collect],
                 cache_hits: hits,
                 cache_misses: misses,
-                fit_diagnostics: tail.fit_diagnostics,
-                critical_path: tail.critical_path,
-            });
+                events: Replay::default(),
+            };
+            lane.probe(ctx)?;
+            brackets.replay(&mut lane);
+            lanes.push(lane);
         }
 
-        if let Some(rec) = &recorder {
-            rec.record_span(
-                None,
-                xtrace_obs::STAGE_PARENT,
-                run_start.elapsed().as_secs_f64(),
-            );
+        // Fit: the candidates once, shared by every target that missed,
+        // then one selection per missing target in target order (its
+        // per-element journal instants land in that order too).
+        let start = brackets.open(StageKind::Fit);
+        if lanes.iter().any(|lane| lane.extrapolated.is_none()) {
+            let candidates =
+                xtrace_extrap::fit_signature_candidates_obs(&traces, &ctx.extrap, &ctx.obs)?;
+            for lane in lanes.iter_mut().filter(|lane| lane.extrapolated.is_none()) {
+                let fit = candidates.select_obs(lane.target, &ctx.obs)?;
+                brackets.observer.progress(
+                    StageKind::Fit,
+                    &format!("fit {} feature elements", fit.fits.len()),
+                );
+                lane.fit = Some(fit);
+            }
         }
-        journal.end(xtrace_obs::STAGE_PARENT, "pipeline", &[]);
+        // Nothing past Fit reads the training traces; free them before
+        // the fan-out holds every lane's trace.
+        drop(traces);
+        let fit = StageTiming {
+            stage: StageKind::Fit,
+            seconds: brackets.close(StageKind::Fit, start),
+        };
+        for lane in &mut lanes {
+            lane.timings.push(fit);
+        }
+
+        let mut xs: Vec<f64> = ctx.config.training.iter().map(|&p| f64::from(p)).collect();
+        xs.sort_by(f64::total_cmp);
+        for stage in [
+            StageKind::Synthesize,
+            StageKind::Convolve,
+            StageKind::Validate,
+        ] {
+            let start = brackets.open(stage);
+            lanes = fan_out(lanes, stage, ctx, &xs)?;
+            for lane in &mut lanes {
+                brackets.replay(lane);
+            }
+            brackets.close(stage, start);
+        }
+
+        if let Some(rec) = recorder {
+            rec.record_span(None, STAGE_PARENT, run_start.elapsed().as_secs_f64());
+        }
+        journal.end(STAGE_PARENT, "pipeline", &[]);
 
         Ok(SweepReport {
-            prefix_hash: prefix,
+            prefix_hash: ctx.prefix_hash.clone(),
             targets,
-            reports,
-            prefix_seconds: collect_seconds + fit_seconds,
+            reports: lanes
+                .into_iter()
+                .map(|lane| lane.into_report(ctx))
+                .collect(),
+            prefix_seconds: collect.seconds + fit.seconds,
         })
     }
 }
@@ -1256,42 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_stage_disables_engine_artifact_reuse() {
-        struct IdentityFit;
-        impl crate::stage::Fit for IdentityFit {
-            fn fit(
-                &self,
-                ctx: &PipelineCtx,
-                _obs: &mut dyn StageObserver,
-                traces: &[xtrace_tracer::TaskTrace],
-            ) -> crate::error::Result<xtrace_extrap::SignatureFit> {
-                Ok(xtrace_extrap::fit_signature(
-                    traces,
-                    ctx.config.target,
-                    &ctx.extrap,
-                )?)
-            }
-        }
-        let root = tmp("custom");
-        // Seed the store with a default run.
-        Pipeline::new(quick_config())
-            .unwrap()
-            .with_store(&root)
-            .unwrap()
-            .run()
-            .unwrap();
-        let report = Pipeline::new(quick_config())
-            .unwrap()
-            .with_store(&root)
-            .unwrap()
-            .with_fit(Box::new(IdentityFit))
-            .run()
-            .unwrap();
-        // Training traces still reuse; extrapolated/prediction do not.
-        assert_eq!(report.cache_hits, 3);
-    }
-
-    #[test]
     fn sweep_matches_standalone_and_rejects_misuse() {
         let mut cfg = quick_config();
         cfg.targets = vec![32, 64, 128];
@@ -1311,28 +909,8 @@ mod tests {
         let err = Pipeline::new(cfg.clone()).unwrap().run().unwrap_err();
         assert!(err.to_string().contains("run_sweep"), "{err}");
 
-        // Custom stages are single-target.
-        struct IdentityFit;
-        impl crate::stage::Fit for IdentityFit {
-            fn fit(
-                &self,
-                ctx: &PipelineCtx,
-                _obs: &mut dyn StageObserver,
-                traces: &[xtrace_tracer::TaskTrace],
-            ) -> crate::error::Result<xtrace_extrap::SignatureFit> {
-                Ok(xtrace_extrap::fit_signature(
-                    traces,
-                    ctx.config.target,
-                    &ctx.extrap,
-                )?)
-            }
-        }
-        let err = Pipeline::new(cfg)
-            .unwrap()
-            .with_fit(Box::new(IdentityFit))
-            .run_sweep()
-            .unwrap_err();
-        assert!(err.to_string().contains("custom stages"), "{err}");
+        let err = Pipeline::new(cfg).unwrap().run().unwrap_err();
+        assert!(err.to_string().contains("run_sweep"), "{err}");
     }
 
     #[test]
@@ -1374,15 +952,30 @@ mod tests {
     }
 
     #[test]
-    fn one_target_sweep_delegates_to_run() {
-        let report = Pipeline::new(quick_config()).unwrap().run().unwrap();
-        let mut cfg = quick_config();
-        cfg.targets = vec![32];
-        let sweep = Pipeline::new(cfg).unwrap().run_sweep().unwrap();
+    fn run_is_a_one_target_sweep() {
+        // run() and run_sweep() over targets = [t] are one path: equal
+        // masked reports, masked metrics and masked journals.
+        let journaled = |targets: Vec<u32>| {
+            let recorder = xtrace_obs::Recorder::with_journal();
+            let mut cfg = quick_config();
+            cfg.targets = targets;
+            let pipeline = Pipeline::new(cfg).unwrap().with_recorder(recorder.clone());
+            (pipeline, recorder)
+        };
+        let (mut single, single_rec) = journaled(Vec::new());
+        let report = single.run().unwrap();
+        let (mut one, one_rec) = journaled(vec![32]);
+        let sweep = one.run_sweep().unwrap();
         assert_eq!(sweep.targets, vec![32]);
-        assert_eq!(sweep.reports.len(), 1);
-        assert_eq!(sweep.reports[0].prediction, report.prediction);
         assert_eq!(sweep.prefix_hash, report.prefix_hash);
+        assert_eq!(sweep.reports.len(), 1);
+        assert_eq!(sweep.reports[0].masked(), report.masked());
+        assert_eq!(
+            one_rec.snapshot().masked().to_json(),
+            single_rec.snapshot().masked().to_json()
+        );
+        let journal = |rec: &xtrace_obs::Recorder| rec.journal_snapshot().unwrap().masked();
+        assert_eq!(journal(&one_rec), journal(&single_rec));
     }
 
     #[test]

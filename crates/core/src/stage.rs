@@ -1,19 +1,14 @@
-//! Typed pipeline stages.
+//! Pipeline stages.
 //!
 //! The paper's Figure-2 flow — collect signatures at small core counts,
 //! fit canonical forms, synthesize the signature at the target count,
 //! convolve it with the machine profile, and validate against a real
-//! collection — becomes five object-safe traits. The engine
-//! ([`crate::pipeline::Pipeline`]) wires the default implementations
-//! together; callers can swap any stage (e.g. a `Fit` that restricts the
-//! form set, or a `Collect` that replays archived traces) without touching
-//! the rest.
-//!
-//! Stage implementations report progress through a [`StageObserver`];
+//! collection — as the [`StageKind`] vocabulary the engine
+//! ([`crate::pipeline::Pipeline`]) times and reports, plus the Collect
+//! and Validate kernels it runs. Progress flows to a [`StageObserver`];
 //! the engine adds wall-clock timing per stage on top.
 
 use serde::{Deserialize, Serialize};
-use xtrace_extrap::{fit_signature_obs, synthesize_from_fit, SignatureFit};
 use xtrace_psins::{ground_truth_obs, relative_error, try_predict_runtime, Prediction};
 use xtrace_tracer::{
     collect_signature_memo_obs, collect_signature_with_obs, collect_task_trace_memo_obs, SigMemo,
@@ -76,58 +71,6 @@ pub struct NullObserver;
 
 impl StageObserver for NullObserver {}
 
-/// Stage 1: produce one training trace per configured core count.
-pub trait Collect {
-    /// Returns the training traces in the same order as
-    /// `ctx.config.training`.
-    fn collect(&self, ctx: &PipelineCtx, obs: &mut dyn StageObserver) -> Result<Vec<TaskTrace>>;
-}
-
-/// Stage 2: fit canonical forms to the training set.
-pub trait Fit {
-    /// Returns the per-element fits evaluated at the target core count.
-    fn fit(
-        &self,
-        ctx: &PipelineCtx,
-        obs: &mut dyn StageObserver,
-        traces: &[TaskTrace],
-    ) -> Result<SignatureFit>;
-}
-
-/// Stage 3: synthesize the extrapolated trace from the fits.
-pub trait Synthesize {
-    /// Returns the synthetic task trace at the target count.
-    fn synthesize(
-        &self,
-        ctx: &PipelineCtx,
-        obs: &mut dyn StageObserver,
-        fit: &SignatureFit,
-    ) -> Result<TaskTrace>;
-}
-
-/// Stage 4: convolve a trace with the machine profile.
-pub trait Convolve {
-    /// Returns the runtime prediction for `trace`.
-    fn convolve(
-        &self,
-        ctx: &PipelineCtx,
-        obs: &mut dyn StageObserver,
-        trace: &TaskTrace,
-    ) -> Result<Prediction>;
-}
-
-/// Stage 5: measure how good the extrapolated prediction is.
-pub trait Validate {
-    /// Returns the validation record, or `None` when validation is
-    /// disabled by the config.
-    fn validate(
-        &self,
-        ctx: &PipelineCtx,
-        obs: &mut dyn StageObserver,
-        prediction: &Prediction,
-    ) -> Result<Option<Validation>>;
-}
-
 /// The extra ranks traced at count `nranks` when `ranks_per_count = k`
 /// exceeds 1: the longest rank is always covered by the training trace
 /// itself, and up to `k - 1` worker ranks are spread evenly across
@@ -146,193 +89,125 @@ fn worker_ranks(nranks: u32, longest: u32, k: u32) -> Vec<u32> {
     ranks
 }
 
-/// Default `Collect`: trace the most computationally demanding task at
-/// each training count with the context's tracer configuration. When a
-/// store is attached, each training trace is cached individually under
-/// `training-p<P>`. With `ranks_per_count > 1`, additional worker ranks
-/// are traced per count and filed under `training-p<P>-r<R>`; the
-/// returned training set (and thus every prediction) is unchanged.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DefaultCollect;
-
-impl Collect for DefaultCollect {
-    fn collect(&self, ctx: &PipelineCtx, obs: &mut dyn StageObserver) -> Result<Vec<TaskTrace>> {
-        let recorder = ctx.obs.recorder().cloned();
-        // One memo across the whole training sweep: identical block
-        // simulations recur across core counts (and across ranks within a
-        // count), and memoization is result-identical, so this only trades
-        // time for memory.
-        let memo = SigMemo::new();
-        let mut traces = Vec::with_capacity(ctx.config.training.len());
-        for &p in &ctx.config.training {
-            // One phase span per training count, nested under the stage.
-            let _phase = recorder
-                .as_ref()
-                .map(|rec| rec.child_span(StageKind::Collect.label(), &format!("p{p}")));
-            let artifact = format!("training-p{p}");
-            let mut cached = None;
-            if let Some(store) = &ctx.store {
-                cached = store.get_trace(&ctx.prefix_hash, &artifact)?;
-                if cached.is_none() {
-                    store.note_legacy_miss(&ctx.config_hash, &format!("{artifact}.bin"));
-                }
-                obs.cache_event(StageKind::Collect, &artifact, cached.is_some());
-            }
-            let trace = match cached {
-                Some(trace) => trace,
-                None => {
-                    let sig = collect_signature_memo_obs(
-                        ctx.app.spmd(),
-                        p,
-                        &ctx.machine,
-                        &ctx.tracer,
-                        &memo,
-                        &ctx.obs,
-                    );
-                    obs.progress(
-                        StageKind::Collect,
-                        &format!(
-                            "traced {p} cores (longest task = rank {})",
-                            sig.comm.longest_rank
-                        ),
-                    );
-                    if let Some(store) = &ctx.store {
-                        store.put_trace(&ctx.prefix_hash, &artifact, sig.longest_task())?;
-                    }
-                    sig.longest_task().clone()
-                }
-            };
-            // Wide collection: trace the worker ranks too. The cached (or
-            // fresh) longest trace records its own rank, so resumed runs
-            // sample the same workers.
-            if ctx.config.ranks_per_count > 1 {
-                let workers = worker_ranks(p, trace.rank, ctx.config.ranks_per_count);
-                for &r in &workers {
-                    let artifact = format!("training-p{p}-r{r}");
-                    if let Some(store) = &ctx.store {
-                        let hit = store.get_trace(&ctx.prefix_hash, &artifact)?.is_some();
-                        obs.cache_event(StageKind::Collect, &artifact, hit);
-                        if hit {
-                            continue;
-                        }
-                    }
-                    let worker = collect_task_trace_memo_obs(
-                        ctx.app.spmd(),
-                        r,
-                        p,
-                        &ctx.machine,
-                        &ctx.tracer,
-                        Some(&memo),
-                        &ctx.obs,
-                    );
-                    if let Some(store) = &ctx.store {
-                        store.put_trace(&ctx.prefix_hash, &artifact, &worker)?;
-                    }
-                }
+/// Collect: trace the most computationally demanding task at each
+/// training count with the context's tracer configuration, returning the
+/// traces in `ctx.config.training` order. When a store is attached, each
+/// training trace is cached individually under `training-p<P>`. With
+/// `ranks_per_count > 1`, additional worker ranks are traced per count and
+/// filed under `training-p<P>-r<R>`; the returned training set (and thus
+/// every prediction) is unchanged.
+pub(crate) fn collect(ctx: &PipelineCtx, obs: &mut dyn StageObserver) -> Result<Vec<TaskTrace>> {
+    let recorder = ctx.obs.recorder().cloned();
+    // One memo across the whole training sweep: identical block
+    // simulations recur across core counts (and across ranks within a
+    // count), and memoization is result-identical, so this only trades
+    // time for memory.
+    let memo = SigMemo::new();
+    let mut traces = Vec::with_capacity(ctx.config.training.len());
+    for &p in &ctx.config.training {
+        // One phase span per training count, nested under the stage.
+        let _phase = recorder
+            .as_ref()
+            .map(|rec| rec.child_span(StageKind::Collect.label(), &format!("p{p}")));
+        let artifact = format!("training-p{p}");
+        let mut cached = None;
+        if let Some(store) = &ctx.store {
+            cached = store.get_trace(&ctx.prefix_hash, &artifact)?;
+            obs.cache_event(StageKind::Collect, &artifact, cached.is_some());
+        }
+        let trace = match cached {
+            Some(trace) => trace,
+            None => {
+                let sig = collect_signature_memo_obs(
+                    ctx.app.spmd(),
+                    p,
+                    &ctx.machine,
+                    &ctx.tracer,
+                    &memo,
+                    &ctx.obs,
+                );
                 obs.progress(
                     StageKind::Collect,
-                    &format!("traced {} worker ranks at {p} cores", workers.len()),
+                    &format!(
+                        "traced {p} cores (longest task = rank {})",
+                        sig.comm.longest_rank
+                    ),
                 );
+                if let Some(store) = &ctx.store {
+                    store.put_trace(&ctx.prefix_hash, &artifact, sig.longest_task())?;
+                }
+                sig.longest_task().clone()
             }
-            traces.push(trace);
+        };
+        // Wide collection: trace the worker ranks too. The cached (or
+        // fresh) longest trace records its own rank, so resumed runs
+        // sample the same workers.
+        if ctx.config.ranks_per_count > 1 {
+            let workers = worker_ranks(p, trace.rank, ctx.config.ranks_per_count);
+            for &r in &workers {
+                let artifact = format!("training-p{p}-r{r}");
+                if let Some(store) = &ctx.store {
+                    let hit = store.get_trace(&ctx.prefix_hash, &artifact)?.is_some();
+                    obs.cache_event(StageKind::Collect, &artifact, hit);
+                    if hit {
+                        continue;
+                    }
+                }
+                let worker = collect_task_trace_memo_obs(
+                    ctx.app.spmd(),
+                    r,
+                    p,
+                    &ctx.machine,
+                    &ctx.tracer,
+                    Some(&memo),
+                    &ctx.obs,
+                );
+                if let Some(store) = &ctx.store {
+                    store.put_trace(&ctx.prefix_hash, &artifact, &worker)?;
+                }
+            }
+            obs.progress(
+                StageKind::Collect,
+                &format!("traced {} worker ranks at {p} cores", workers.len()),
+            );
         }
-        // Memo totals are scheduling-invariant: misses equal the number of
-        // unique block-simulation keys, hits the remainder.
-        let metrics = ctx.obs.metrics();
-        metrics.counter("tracer.sig_memo.hits").add(memo.hits());
-        metrics.counter("tracer.sig_memo.misses").add(memo.misses());
-        // Guard the basis-point rate against zero-lookup runs (every
-        // training trace served from the store): report 0 bp rather than
-        // dividing by zero — and always set the gauge, so the key is
-        // present in every snapshot.
-        let lookups = memo.hits() + memo.misses();
-        let rate_bp = (memo.hits() * 10_000).checked_div(lookups).unwrap_or(0);
-        metrics.gauge("tracer.sig_memo.hit_rate_bp").set(rate_bp);
-        Ok(traces)
+        traces.push(trace);
     }
+    // Memo totals are scheduling-invariant: misses equal the number of
+    // unique block-simulation keys, hits the remainder.
+    let metrics = ctx.obs.metrics();
+    metrics.counter("tracer.sig_memo.hits").add(memo.hits());
+    metrics.counter("tracer.sig_memo.misses").add(memo.misses());
+    // Guard the basis-point rate against zero-lookup runs (every
+    // training trace served from the store): report 0 bp rather than
+    // dividing by zero — and always set the gauge, so the key is
+    // present in every snapshot.
+    let lookups = memo.hits() + memo.misses();
+    let rate_bp = (memo.hits() * 10_000).checked_div(lookups).unwrap_or(0);
+    metrics.gauge("tracer.sig_memo.hit_rate_bp").set(rate_bp);
+    Ok(traces)
 }
 
-/// Default `Fit`: the paper's per-element canonical-form selection.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DefaultFit;
-
-impl Fit for DefaultFit {
-    fn fit(
-        &self,
-        ctx: &PipelineCtx,
-        obs: &mut dyn StageObserver,
-        traces: &[TaskTrace],
-    ) -> Result<SignatureFit> {
-        let fit = fit_signature_obs(traces, ctx.config.target, &ctx.extrap, &ctx.obs)?;
-        obs.progress(
-            StageKind::Fit,
-            &format!("fit {} feature elements", fit.fits.len()),
-        );
-        Ok(fit)
-    }
-}
-
-/// Default `Synthesize`: evaluate the fits into a task trace.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DefaultSynthesize;
-
-impl Synthesize for DefaultSynthesize {
-    fn synthesize(
-        &self,
-        _ctx: &PipelineCtx,
-        _obs: &mut dyn StageObserver,
-        fit: &SignatureFit,
-    ) -> Result<TaskTrace> {
-        Ok(synthesize_from_fit(fit))
-    }
-}
-
-/// Default `Convolve`: Eq. (1) with the app's communication profile at
-/// the target count.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DefaultConvolve;
-
-impl Convolve for DefaultConvolve {
-    fn convolve(
-        &self,
-        ctx: &PipelineCtx,
-        _obs: &mut dyn StageObserver,
-        trace: &TaskTrace,
-    ) -> Result<Prediction> {
-        let comm = ctx.app.comm_obs(ctx.config.target, &ctx.obs);
-        Ok(try_predict_runtime(trace, &comm, &ctx.machine)?)
-    }
-}
-
-/// Default `Validate`: collect a real trace at the target count, predict
-/// from it, and measure the execution-driven ground truth.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DefaultValidate;
-
-impl Validate for DefaultValidate {
-    fn validate(
-        &self,
-        ctx: &PipelineCtx,
-        obs: &mut dyn StageObserver,
-        prediction: &Prediction,
-    ) -> Result<Option<Validation>> {
-        if !ctx.config.validate {
-            return Ok(None);
-        }
-        let target = ctx.config.target;
-        let sig =
-            collect_signature_with_obs(ctx.app.spmd(), target, &ctx.machine, &ctx.tracer, &ctx.obs);
-        obs.progress(StageKind::Validate, &format!("collected {target} cores"));
-        let collected = try_predict_runtime(sig.longest_task(), &sig.comm, &ctx.machine)?;
-        let gt = ground_truth_obs(ctx.app.spmd(), target, &ctx.machine, &ctx.tracer, &ctx.obs);
-        obs.progress(StageKind::Validate, "measured ground truth");
-        Ok(Some(Validation {
-            extrapolated_error: relative_error(prediction.total_seconds, gt.total_seconds),
-            collected_error: relative_error(collected.total_seconds, gt.total_seconds),
-            collected,
-            measured_seconds: gt.total_seconds,
-        }))
-    }
+/// Validate: collect a real trace at `target`, predict from it, and
+/// measure the execution-driven ground truth.
+pub(crate) fn validate(
+    ctx: &PipelineCtx,
+    obs: &mut dyn StageObserver,
+    target: u32,
+    prediction: &Prediction,
+) -> Result<Validation> {
+    let sig =
+        collect_signature_with_obs(ctx.app.spmd(), target, &ctx.machine, &ctx.tracer, &ctx.obs);
+    obs.progress(StageKind::Validate, &format!("collected {target} cores"));
+    let collected = try_predict_runtime(sig.longest_task(), &sig.comm, &ctx.machine)?;
+    let gt = ground_truth_obs(ctx.app.spmd(), target, &ctx.machine, &ctx.tracer, &ctx.obs);
+    obs.progress(StageKind::Validate, "measured ground truth");
+    Ok(Validation {
+        extrapolated_error: relative_error(prediction.total_seconds, gt.total_seconds),
+        collected_error: relative_error(collected.total_seconds, gt.total_seconds),
+        collected,
+        measured_seconds: gt.total_seconds,
+    })
 }
 
 #[cfg(test)]

@@ -1,20 +1,23 @@
 //! Content-addressed, versioned artifact store.
 //!
 //! Pipeline outputs are filed under the run's
-//! [config hash](crate::config::PipelineConfig::config_hash):
+//! [prefix hash](crate::config::PipelineConfig::prefix_hash), with a
+//! target suffix on everything the target count changes:
 //!
 //! ```text
-//! <root>/store.json                   manifest (format + version)
-//! <root>/<hash>/training-p<P>.bin     training traces (compact binary codec)
-//! <root>/<hash>/extrapolated.json     synthetic trace (versioned JSON envelope)
-//! <root>/<hash>/prediction.json       runtime prediction
-//! <root>/<hash>/validation.json       validation record
+//! <root>/store.json                        manifest (format + version)
+//! <root>/<prefix>/training-p<P>.bin        training traces (compact binary codec)
+//! <root>/<prefix>/extrapolated-t<T>.json   synthetic trace (versioned JSON envelope)
+//! <root>/<prefix>/fit-diagnostics-t<T>.json
+//! <root>/<prefix>/prediction-t<T>.json     runtime prediction
+//! <root>/<prefix>/critical-path-t<T>.json  critical-path attribution
+//! <root>/<prefix>/validation-t<T>.json     validation record
 //! ```
 //!
-//! Because the hash covers every output-relevant config field, *resume is
-//! a cache hit*: re-running an identical pipeline finds each artifact and
-//! skips the computation that produced it, while any config change lands
-//! in a fresh entry. Serialization is delegated to `xtrace-tracer`'s codec
+//! Because the hash and suffix cover every output-relevant config field,
+//! *resume is a cache hit*: re-running an identical pipeline finds each
+//! artifact and skips the computation that produced it, while any config
+//! change lands in a fresh entry. Serialization is delegated to `xtrace-tracer`'s codec
 //! (`to_bytes`/`from_bytes`, envelope JSON) so the store and the CLI share
 //! one on-disk trace format.
 //!
@@ -447,33 +450,6 @@ impl ArtifactStore {
         Ok(())
     }
 
-    /// True when `<hash>/<file>` (`file` includes its extension) holds
-    /// bytes. An *uncounted* existence probe: it bypasses the
-    /// `store.hits`/`store.misses` telemetry so audits and sweep planning
-    /// don't perturb the pinned per-run lookup counts. Read errors read as
-    /// absent — the probe is best-effort by contract.
-    pub fn probe(&self, hash: &str, file: &str) -> bool {
-        matches!(self.backend.load(hash, file), Ok(Some(_)))
-    }
-
-    /// Store-layout audit: after a lookup missed under its prefix-hash
-    /// key, checks whether the artifact still exists under `legacy_hash`
-    /// (the full config hash, the namespace used before the prefix/full
-    /// hash split). A hit is not silent: it bumps `store.legacy_key_hits`
-    /// and journals one `store.legacy_key` instant so stale stores are
-    /// visible in reports instead of quietly re-running cold.
-    pub fn note_legacy_miss(&self, legacy_hash: &str, file: &str) {
-        if !self.probe(legacy_hash, file) {
-            return;
-        }
-        let obs = self.obs();
-        obs.metrics().counter("store.legacy_key_hits").incr();
-        let journal = obs.journal();
-        if journal.enabled() {
-            journal.instant("store.legacy_key", "store", &[]);
-        }
-    }
-
     /// Looks a JSON value up; corrupt artifacts read as a miss.
     pub fn get_json<T: Deserialize>(&self, hash: &str, name: &str) -> Result<Option<T>> {
         let found = match self.backend.load(hash, &format!("{name}.json"))? {
@@ -673,40 +649,6 @@ mod tests {
         assert!(
             per_shard.iter().filter(|s| s.hits + s.misses > 0).count() > 1,
             "namespaces all hashed to one shard"
-        );
-    }
-
-    #[test]
-    fn probe_is_uncounted_and_legacy_audit_is_loud() {
-        use xtrace_obs::Recorder;
-        let recorder = Recorder::with_journal();
-        let obs = ObsContext::with_recorder(recorder.clone());
-        let store = ArtifactStore::open(tmp("legacy-audit"))
-            .unwrap()
-            .with_obs(obs);
-        store.put_json("oldfullhash", "prediction", &1u32).unwrap();
-        let writes_before = recorder.metrics().counter("store.hits").get();
-
-        // Probes never touch the hit/miss telemetry.
-        assert!(store.probe("oldfullhash", "prediction.json"));
-        assert!(!store.probe("newprefix", "prediction.json"));
-        assert_eq!(
-            recorder.metrics().counter("store.hits").get(),
-            writes_before
-        );
-        assert_eq!(recorder.metrics().counter("store.misses").get(), 0);
-
-        // A legacy-key hit is journaled and counted; a clean miss is not.
-        store.note_legacy_miss("oldfullhash", "prediction.json");
-        store.note_legacy_miss("neverwritten", "prediction.json");
-        assert_eq!(recorder.metrics().counter("store.legacy_key_hits").get(), 1);
-        let events = recorder.journal_snapshot().expect("journal on").events;
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.name == "store.legacy_key")
-                .count(),
-            1
         );
     }
 

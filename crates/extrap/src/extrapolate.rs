@@ -373,8 +373,10 @@ impl SignatureCandidates {
         self.select_obs(target, &ObsContext::disabled())
     }
 
-    /// [`Self::select`] recording per-form win counters
-    /// (`extrap.fit_wins.*`) into `obs`.
+    /// [`Self::select`] recording its fit decisions into `obs`: per-form
+    /// win counters (`extrap.fit_wins.*`) and one `extrap.fit.<Form>`
+    /// journal instant per element, exactly as [`fit_signature_obs`]
+    /// records them.
     pub fn select_obs(
         &self,
         target: u32,
@@ -419,17 +421,7 @@ impl SignatureCandidates {
                 ),
             })
             .collect();
-        let metrics = obs.metrics();
-        if metrics.enabled() {
-            let mut wins: std::collections::BTreeMap<&'static str, u64> =
-                std::collections::BTreeMap::new();
-            for fit in &fits {
-                *wins.entry(fit.model.form.label()).or_insert(0) += 1;
-            }
-            for (label, n) in wins {
-                metrics.counter(&format!("extrap.fit_wins.{label}")).add(n);
-            }
-        }
+        record_fit_decisions(&fits, obs);
         Ok(SignatureFit {
             base: self.base.clone(),
             target_x: tx,
@@ -450,7 +442,8 @@ pub fn fit_signature_candidates(
 }
 
 /// [`fit_signature_candidates`] recording fit telemetry
-/// (`extrap.elements_fit`, the scheduling-path marker) into `obs`.
+/// (`extrap.elements_fit`, the scheduling-path marker) into `obs`; the
+/// per-element decisions are recorded by [`SignatureCandidates::select_obs`].
 pub fn fit_signature_candidates_obs(
     traces: &[TaskTrace],
     cfg: &ExtrapolationConfig,
@@ -534,19 +527,7 @@ pub fn fit_signature_candidates_obs(
         })
         .collect();
 
-    let metrics = obs.metrics();
-    if metrics.enabled() {
-        metrics
-            .counter(if parallel {
-                "sched.extrap.parallel_fit_calls"
-            } else {
-                "sched.extrap.serial_fit_calls"
-            })
-            .incr();
-        metrics
-            .counter("extrap.elements_fit")
-            .add(elements.len() as u64);
-    }
+    record_fit_path(parallel, elements.len(), obs);
 
     Ok(SignatureCandidates {
         base: base.clone(),
@@ -777,6 +758,70 @@ pub fn parallel_fit_enabled(n_elements: usize) -> bool {
         && std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1
 }
 
+/// Records which scheduling path an element fit took and how many
+/// elements it fitted. Which path ran depends on the installed thread
+/// pool, so its counter and journal marker carry the scheduling-dependent
+/// `sched.` prefix that masking strips.
+fn record_fit_path(parallel: bool, n_elements: usize, obs: &ObsContext) {
+    let metrics = obs.metrics();
+    if metrics.enabled() {
+        metrics
+            .counter(if parallel {
+                "sched.extrap.parallel_fit_calls"
+            } else {
+                "sched.extrap.serial_fit_calls"
+            })
+            .incr();
+        metrics
+            .counter("extrap.elements_fit")
+            .add(n_elements as u64);
+    }
+    let journal = obs.journal();
+    if journal.enabled() {
+        journal.instant(
+            if parallel {
+                "sched.extrap.parallel_fit"
+            } else {
+                "sched.extrap.serial_fit"
+            },
+            "fit",
+            &[],
+        );
+    }
+}
+
+/// Records the per-element fit decisions: win counts per canonical form
+/// and one `extrap.fit.<Form>` journal instant per element, in element
+/// order. Both are pure functions of the fits, so they are identical on
+/// the serial and parallel paths.
+fn record_fit_decisions(fits: &[ElementFit], obs: &ObsContext) {
+    let metrics = obs.metrics();
+    if metrics.enabled() {
+        let mut wins: std::collections::BTreeMap<&'static str, u64> =
+            std::collections::BTreeMap::new();
+        for fit in fits {
+            *wins.entry(fit.model.form.label()).or_insert(0) += 1;
+        }
+        for (label, n) in wins {
+            metrics.counter(&format!("extrap.fit_wins.{label}")).add(n);
+        }
+    }
+    let journal = obs.journal();
+    if journal.enabled() {
+        for (i, fit) in fits.iter().enumerate() {
+            journal.instant(
+                &format!("extrap.fit.{}", fit.model.form.label()),
+                "fit",
+                &[
+                    ("index", i as f64),
+                    ("sse", fit.model.sse),
+                    ("influence", fit.influence),
+                ],
+            );
+        }
+    }
+}
+
 /// The fitting core: fit every element over `xs` and bundle the models.
 ///
 /// Instructions are independent fitting problems, so the element fits fan
@@ -826,58 +871,8 @@ fn fit_sorted(
             .collect()
     };
 
-    // Observability: per-canonical-form win counts are a pure function of
-    // the input series, so they are identical on the serial and parallel
-    // paths; which path ran depends on the installed thread pool and is
-    // therefore recorded under the scheduling-dependent prefix.
-    let metrics = obs.metrics();
-    if metrics.enabled() {
-        metrics
-            .counter(if parallel {
-                "sched.extrap.parallel_fit_calls"
-            } else {
-                "sched.extrap.serial_fit_calls"
-            })
-            .incr();
-        metrics
-            .counter("extrap.elements_fit")
-            .add(fits.len() as u64);
-        let mut wins: std::collections::BTreeMap<&'static str, u64> =
-            std::collections::BTreeMap::new();
-        for fit in &fits {
-            *wins.entry(fit.model.form.label()).or_insert(0) += 1;
-        }
-        for (label, n) in wins {
-            metrics.counter(&format!("extrap.fit_wins.{label}")).add(n);
-        }
-    }
-    // Journal: one instant per element fit decision. Emitted here, after
-    // the (possibly parallel) fan-out reassembled in pair order, so the
-    // stream order is deterministic; only the which-path-ran marker is
-    // scheduling-dependent and carries the sched. prefix for masking.
-    let journal = obs.journal();
-    if journal.enabled() {
-        journal.instant(
-            if parallel {
-                "sched.extrap.parallel_fit"
-            } else {
-                "sched.extrap.serial_fit"
-            },
-            "fit",
-            &[],
-        );
-        for (i, fit) in fits.iter().enumerate() {
-            journal.instant(
-                &format!("extrap.fit.{}", fit.model.form.label()),
-                "fit",
-                &[
-                    ("index", i as f64),
-                    ("sse", fit.model.sse),
-                    ("influence", fit.influence),
-                ],
-            );
-        }
-    }
+    record_fit_path(parallel, fits.len(), obs);
+    record_fit_decisions(&fits, obs);
 
     // Block-level invocation/iteration counts get the same treatment.
     let block_models = (0..base.blocks.len())

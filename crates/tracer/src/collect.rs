@@ -183,7 +183,8 @@ pub fn collect_signature_memo_obs(
     );
     if journal.enabled() {
         // The memo burst this count contributed. Totals are scheduling-
-        // invariant (see DefaultCollect), so this survives masking.
+        // invariant (see the pipeline's Collect stage), so this survives
+        // masking.
         journal.instant(
             "tracer.memo.burst",
             "collect",

@@ -12,12 +12,15 @@
 //! * Eight identical in-flight `run` calls coalesce onto one cold
 //!   pipeline execution: the shared store sees exactly one cold set of
 //!   artifact writes, and seven callers return flagged `coalesced`.
+//! * `run` is `run_sweep` over a sweep of one: equal masked reports,
+//!   metrics and journals; a multi-target `run` is a usage error that
+//!   never opens a flight.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xtrace::core::{PipelineConfig, StageKind, StageObserver, XtraceEngine};
+use xtrace::core::{PipelineConfig, StageKind, StageObserver, XtraceEngine, XtraceError};
 
 /// The tiny SPECFEM3D run every golden file pins.
 fn golden_config() -> PipelineConfig {
@@ -229,4 +232,32 @@ fn eight_identical_inflight_runs_coalesce_onto_one_cold_pipeline() {
 
     outcomes.clear();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn engine_run_is_a_one_target_sweep() {
+    let engine = XtraceEngine::new();
+    let cfg = other_config();
+    let single = engine.run(&cfg).unwrap();
+    let mut one = cfg.clone();
+    one.targets = vec![cfg.target];
+    let sweep = engine.run_sweep(&one).unwrap();
+    assert!(!single.coalesced && !sweep.coalesced);
+    assert_eq!(sweep.sweep.targets, vec![cfg.target]);
+    assert_eq!(sweep.sweep.reports.len(), 1);
+    assert_eq!(sweep.sweep.reports[0].masked(), single.report.masked());
+    assert_eq!(
+        sweep.metrics.masked().to_json(),
+        single.metrics.masked().to_json()
+    );
+    let masked = |j: &Option<xtrace::obs::JournalSnapshot>| j.as_ref().map(|j| j.masked());
+    assert!(single.journal.is_some(), "engine runs journal");
+    assert_eq!(masked(&sweep.journal), masked(&single.journal));
+
+    // A multi-target run is refused before any flight opens.
+    let mut multi = cfg;
+    multi.targets = vec![32, 64];
+    let err = engine.run(&multi).unwrap_err();
+    assert!(matches!(err, XtraceError::Usage(_)), "{err}");
+    assert_eq!(engine.in_flight(), 0);
 }

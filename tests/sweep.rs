@@ -6,6 +6,8 @@
 //!   committed golden file itself.
 //! * The sweep is thread-invariant: rayon fan-out over 1 or 4 workers
 //!   produces identical per-target predictions.
+//! * With validation on, every lane's validation record equals its
+//!   standalone run's.
 //! * A cold engine sweep writes exactly one prefix artifact set plus one
 //!   tail set per target (15 writes for 3 targets); a warm re-sweep and a
 //!   later standalone run at a swept target both resume fully from the
@@ -69,6 +71,31 @@ fn sweep_targets_match_standalone_runs_and_the_committed_golden() {
         );
         assert_eq!(sweep.reports[i].config_hash, alone.config_hash);
         assert_eq!(sweep.reports[i].prefix_hash, alone.prefix_hash);
+        assert_eq!(
+            sweep.reports[i].masked(),
+            alone.masked(),
+            "sweep lane for target {target} differs from the standalone report"
+        );
+    }
+}
+
+#[test]
+fn validated_sweep_lanes_match_standalone_validation() {
+    let quick = |target: u32| {
+        PipelineConfig::builder("stencil3d", "opteron", vec![2, 4, 8], target)
+            .fast_tracer(true)
+            .validate(true)
+    };
+    let sweep = Pipeline::new(quick(16).targets(vec![16, 32]).build())
+        .unwrap()
+        .run_sweep()
+        .unwrap();
+    assert_eq!(sweep.targets, vec![16, 32]);
+    for (&target, lane) in sweep.targets.iter().zip(&sweep.reports) {
+        let alone = Pipeline::new(quick(target).build()).unwrap().run().unwrap();
+        assert!(lane.validation.is_some(), "target {target} validated");
+        assert_eq!(lane.validation, alone.validation, "target {target}");
+        assert_eq!(lane.masked(), alone.masked(), "target {target}");
     }
 }
 
