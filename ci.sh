@@ -12,6 +12,8 @@ echo "== build (release) =="
 cargo build --workspace --release --offline
 
 echo "== tests =="
+# Includes the CLI metrics-key and wide-collection checks
+# (crates/cli/tests/cli.rs).
 cargo test -q --workspace --offline
 
 echo "== doc-tests =="
@@ -74,61 +76,11 @@ echo "== bench history verdict (robust z-score against the history) =="
 target/release/xtrace bench-verdict "$tmp"/BENCH_*.json \
     --history BENCH_history.jsonl --min-seconds 1.0
 
-echo "== metrics smoke (--metrics-out JSON keys) =="
-cargo run -q --release --offline -p xtrace-cli -- pipeline \
-    --app specfem3d --scale tiny --machine cray-xt5 \
-    --training 6,24,96 --target 384 --tracer fast --validate false \
-    --metrics-out "$tmp/metrics.json" >/dev/null
-python3 - "$tmp/metrics.json" <<'PY'
-import json, sys
-snap = json.load(open(sys.argv[1]))
-spans = {s["name"] for s in snap["spans"]}
-missing = {"pipeline", "collect", "fit", "synthesize", "convolve"} - spans
-assert not missing, f"missing stage spans: {sorted(missing)}"
-keys = set(snap["counters"]) | set(snap["gauges"])
-required = [
-    "tracer.sig_memo.hits", "tracer.sig_memo.misses",
-    "tracer.sig_memo.hit_rate_bp", "store.hits", "store.misses",
-    "extrap.fit_wins.Constant", "spmd.rank_classes",
-    "spmd.critical_path.segments", "spmd.critical_path.bottleneck_share_bp",
-    "psins.convolve_cache.hits",
-    "tracer.ring.peak_refs", "tracer.ring.capacity_refs",
-    "engine.in_flight", "engine.waiting",
-]
-missing = [k for k in required if k not in keys]
-assert not missing, f"missing metrics keys: {missing}"
-print(f"metrics smoke: {len(spans)} spans, {len(keys)} metric keys, all required present")
-PY
-
 echo "== concurrent-engine smoke (two sessions, one process, golden diff) =="
 # Two pipeline sessions running concurrently in one process must each
 # stay bit-identical to the single-session goldens (prediction and
 # masked metrics) — scoped observability contexts, no counter bleed.
 cargo run -q --release --offline --example concurrent_smoke
-
-echo "== wide-collection smoke (--ranks-per-count, bounded ring memory) =="
-cargo run -q --release --offline -p xtrace-cli -- pipeline \
-    --app specfem3d --scale tiny --machine cray-xt5 \
-    --training 96,192 --target 384 --tracer fast --validate false \
-    --ranks-per-count 64 --store "$tmp/wide-store" \
-    --metrics-out "$tmp/wide.json" >/dev/null
-python3 - "$tmp/wide.json" <<'PY'
-import json, sys
-snap = json.load(open(sys.argv[1]))
-gauges, counters = snap["gauges"], snap["counters"]
-peak = gauges["tracer.ring.peak_refs"]
-cap = gauges["tracer.ring.capacity_refs"]
-# The bounded-memory assert: streaming never overfills its ring.
-assert 0 < peak <= cap, f"ring peak {peak} outside (0, capacity {cap}]"
-raw = counters["tracer.codec.raw_bytes"]
-comp = counters["tracer.codec.compressed_bytes"]
-assert 0 < comp < raw, f"v2 envelope must compress: {comp} vs {raw} raw bytes"
-assert counters["store.trace_bytes_written"] == comp
-written = counters["store.writes"]
-assert written > 64, f"wide collection stored only {written} artifacts"
-print(f"wide smoke: ring peak {peak}/{cap} refs, "
-      f"{comp}/{raw} stored bytes over {written} artifacts")
-PY
 
 echo "== serve smoke (daemon endpoints, coalescing, 429, SIGTERM drain) =="
 # Start the daemon on an ephemeral port, hit all four endpoints, check

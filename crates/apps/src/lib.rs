@@ -45,51 +45,24 @@ pub use specfem::{SpecfemConfig, SpecfemProxy};
 pub use stencil::{StencilConfig, StencilProxy};
 pub use uh3d::{Uh3dConfig, Uh3dProxy};
 
-use xtrace_obs::ObsContext;
-use xtrace_spmd::{CommProfile, CriticalPathReport, MpiProfiler, NetworkModel, SpmdApp};
+use xtrace_spmd::{NetworkModel, SpmdApp};
 
-/// Convenience layer over [`SpmdApp`] shared by the proxies.
+/// Network model used when profiling communication: the base system's
+/// interconnect (Kraken-like defaults).
+pub fn profiling_net() -> NetworkModel {
+    NetworkModel::new(6.0e-6, 1.6e9)
+}
+
+/// Object-safe upcast shared by the proxies.
 pub trait ProxyApp: SpmdApp {
-    /// Network model used when profiling communication (the base system's
-    /// interconnect; Kraken-like defaults).
-    fn profiling_net(&self) -> NetworkModel {
-        NetworkModel::new(6.0e-6, 1.6e9)
-    }
-
     /// Upcast helper (object-safe access to the underlying [`SpmdApp`]).
     fn as_spmd(&self) -> &dyn SpmdApp;
-
-    /// Runs the lightweight MPI profiling pass (PSiNSTracer analog) at
-    /// `nranks`: identifies the most computationally demanding task and
-    /// summarizes its communication events. Telemetry is dropped; use
-    /// [`ProxyApp::comm_profile_obs`] to record it into an explicit
-    /// context.
-    fn comm_profile(&self, nranks: u32) -> CommProfile {
-        self.comm_profile_obs(nranks, &ObsContext::disabled())
-    }
-
-    /// [`ProxyApp::comm_profile`] recording the profiling simulation into
-    /// an explicit observability context.
-    fn comm_profile_obs(&self, nranks: u32, obs: &ObsContext) -> CommProfile {
-        MpiProfiler::default().profile_obs(self.as_spmd(), nranks, &self.profiling_net(), obs)
-    }
-
-    /// [`ProxyApp::comm_profile_obs`] additionally returning the
-    /// critical-path attribution of the profiling simulation. The profile
-    /// is bit-identical to the unattributed pass.
-    fn comm_profile_attr_obs(
-        &self,
-        nranks: u32,
-        obs: &ObsContext,
-    ) -> (CommProfile, CriticalPathReport) {
-        MpiProfiler::default().profile_attr_obs(self.as_spmd(), nranks, &self.profiling_net(), obs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtrace_spmd::SpmdApp;
+    use xtrace_obs::ObsContext;
 
     fn shape_of(app: &dyn SpmdApp, nranks: u32) -> Vec<u8> {
         app.rank_program(0, nranks)
@@ -126,9 +99,9 @@ mod tests {
     }
 
     #[test]
-    fn comm_profiles_identify_a_longest_task() {
+    fn profiling_identifies_a_longest_task() {
         let app = Uh3dProxy::small();
-        let prof = app.comm_profile(8);
+        let prof = xtrace_spmd::profile(&app, 8, &profiling_net(), &ObsContext::disabled());
         assert_eq!(prof.nranks, 8);
         assert!(prof.longest_rank < 8);
         assert!(!prof.events.is_empty());

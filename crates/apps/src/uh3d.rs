@@ -447,10 +447,12 @@ mod tests {
 
     #[test]
     fn rank_zero_is_always_the_longest_task() {
-        use crate::ProxyApp;
+        use xtrace_obs::ObsContext;
         let app = Uh3dProxy::small();
         for p in [2u32, 8, 24] {
-            assert_eq!(app.comm_profile(p).longest_rank, 0, "p={p}");
+            let prof =
+                xtrace_spmd::profile(&app, p, &crate::profiling_net(), &ObsContext::disabled());
+            assert_eq!(prof.longest_rank, 0, "p={p}");
         }
     }
 

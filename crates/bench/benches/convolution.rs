@@ -2,9 +2,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use xtrace_apps::{ProxyApp, StencilProxy};
+use xtrace_apps::{profiling_net, StencilProxy};
 use xtrace_machine::presets;
+use xtrace_obs::ObsContext;
 use xtrace_psins::try_predict_runtime;
+use xtrace_spmd::profile;
 use xtrace_tracer::{collect_signature_with, TracerConfig};
 
 fn bench_convolution(c: &mut Criterion) {
@@ -12,7 +14,7 @@ fn bench_convolution(c: &mut Criterion) {
     let machine = presets::cray_xt5();
     let sig = collect_signature_with(&app, 8, &machine, &TracerConfig::fast());
     let trace = sig.longest_task().clone();
-    let comm = app.comm_profile(8);
+    let comm = profile(&app, 8, &profiling_net(), &ObsContext::disabled());
     // Force the lazy surface before timing.
     let _ = machine.surface();
 

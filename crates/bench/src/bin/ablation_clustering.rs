@@ -9,13 +9,15 @@
 //!
 //! Run with: `cargo run --release -p xtrace-bench --bin ablation_clustering`
 
-use xtrace_apps::{ProxyApp, SpecfemProxy};
+use xtrace_apps::{profiling_net, SpecfemProxy};
 use xtrace_bench::print_header;
 use xtrace_extrap::{
     cluster_tasks, extrapolate_clusters, extrapolate_signature, ExtrapolationConfig,
 };
 use xtrace_machine::presets;
+use xtrace_obs::ObsContext;
 use xtrace_psins::{relative_error, try_predict_runtime};
+use xtrace_spmd::profile;
 use xtrace_tracer::{collect_ranks, collect_signature_with, TracerConfig};
 
 fn main() {
@@ -48,7 +50,7 @@ fn main() {
 
     // Reference: collected trace at the target.
     let collected = collect_signature_with(&app, target, &machine, &tracer);
-    let comm = app.comm_profile(target);
+    let comm = profile(&app, target, &profiling_net(), &ObsContext::disabled());
     let p_coll = try_predict_runtime(collected.longest_task(), &collected.comm, &machine).unwrap();
 
     // Variant A: the paper's methodology (longest task only).

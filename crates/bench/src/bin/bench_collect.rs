@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use serde::Serialize;
-use xtrace_apps::SpecfemProxy;
+use xtrace_apps::{profiling_net, SpecfemProxy};
 use xtrace_bench::seed_cache::{SeedAccessStream, SeedCacheHierarchy};
 use xtrace_bench::{target_machine, SPECFEM_TARGET, SPECFEM_TRAINING};
 use xtrace_cache::LevelCounts;
@@ -44,8 +44,9 @@ use xtrace_core::{Pipeline, PipelineConfig};
 use xtrace_extrap::{element_errors, extrapolate_signature, ExtrapolationConfig};
 use xtrace_ir::BlockId;
 use xtrace_machine::MachineProfile;
+use xtrace_obs::ObsContext;
 use xtrace_psins::{relative_error, try_predict_runtime};
-use xtrace_spmd::{MpiProfiler, RankEvent, SpmdApp};
+use xtrace_spmd::{profile, RankEvent, SpmdApp};
 use xtrace_tracer::{
     collect_ranks_memo, collect_ranks_memo_obs, collect_task_trace, rank_stream_seed, to_bytes,
     v1_encoded_len, SigMemo, TaskTrace, TracerConfig,
@@ -269,7 +270,7 @@ fn predict_target(
     let extrapolated =
         extrapolate_signature(longest_traces, target, &ExtrapolationConfig::default())
             .expect("valid training ladder");
-    let comm = xtrace_apps::ProxyApp::comm_profile(app, target);
+    let comm = profile(app, target, &profiling_net(), &ObsContext::disabled());
     try_predict_runtime(&extrapolated, &comm, machine)
         .unwrap()
         .total_seconds
@@ -312,7 +313,7 @@ fn main() {
     let longest_ranks: Vec<(u32, u32)> = training
         .iter()
         .map(|&p| {
-            let comm = MpiProfiler::default().profile(&app, p, &machine.net);
+            let comm = profile(&app, p, &machine.net, &ObsContext::disabled());
             (p, comm.longest_rank)
         })
         .collect();
@@ -396,7 +397,7 @@ fn main() {
     // scoped recorder context so the tracer's ring gauges are captured.
     let recorder = xtrace_obs::Recorder::new();
     let wide_metrics = recorder.metrics();
-    let wide_obs = xtrace_obs::ObsContext::with_recorder(recorder);
+    let wide_obs = ObsContext::with_recorder(recorder);
     let wide_memo = SigMemo::new();
     let t0 = Instant::now();
     let wide_traces: Vec<Vec<TaskTrace>> = pool.install(|| {

@@ -7,15 +7,16 @@
 //!    ([`xtrace_bench::seed_sim`]): string-keyed group model, every rank's
 //!    program materialized, per-rank naive walk.
 //! 2. `current_serial`  — today's interned [`GroupComputeModel`] forced
-//!    down the pre-dedup path (`simulate_programs_naive` over fully
+//!    down the pre-dedup path (`simulate_naive` over fully
 //!    materialized programs) on one thread. This is the baseline the ≥3×
 //!    acceptance number is measured against.
 //! 3. `dedup_serial`    — today's class-deduplicated replay
 //!    (`try_replay_groups`) on one thread: only class representatives are
 //!    materialized and the model is charged once per (class, group).
 //! 4. `dedup_parallel`  — the same replay under an N-thread pool: group
-//!    convolution fans out and, above `SimOptions::min_parallel_ranks`,
-//!    the bulk-synchronous stepping fans out over rank chunks.
+//!    convolution fans out and, at the engine's rank threshold, the
+//!    bulk-synchronous stepping fans out over rank chunks (one untimed,
+//!    recorded replay reads which path ran from `sched.spmd.parallel_sims`).
 //!
 //! All four legs must produce bit-identical [`SimReport`]s — the speedup
 //! is not allowed to change a single bit of the answer. The harness also
@@ -37,8 +38,9 @@ use xtrace_bench::seed_sim::seed_replay_groups;
 use xtrace_bench::{target_machine, SPECFEM_TARGET, UH3D_TARGET};
 use xtrace_core::{ArtifactStore, Pipeline, PipelineConfig};
 use xtrace_machine::MachineProfile;
-use xtrace_psins::{relative_error, GroupComputeModel};
-use xtrace_spmd::{try_simulate_programs_naive, RankClasses, RankProgram, SimOptions, SpmdApp};
+use xtrace_obs::{ObsContext, Recorder};
+use xtrace_psins::{relative_error, ConvolveCache, GroupComputeModel};
+use xtrace_spmd::{simulate, simulate_naive, RankClasses, RankProgram, SpmdApp};
 use xtrace_tracer::{collect_task_trace, TaskTrace, TracerConfig};
 
 #[derive(Serialize)]
@@ -59,8 +61,8 @@ struct AppResult {
     speedup_vs_current_serial: f64,
     /// Dedup-only component (both legs on one thread).
     speedup_dedup_component: f64,
-    /// Whether the bulk-synchronous stepping fanned out in leg 4 (needs
-    /// `nranks >= min_parallel_ranks` and a multi-thread pool).
+    /// Whether the bulk-synchronous stepping fanned out in leg 4, read
+    /// from the `sched.spmd.parallel_sims` counter of a recorded replay.
     parallel_stepping_ran: bool,
     /// All four legs' SimReports compared with `==` (exact f64 equality).
     reports_bit_identical: bool,
@@ -87,7 +89,6 @@ struct ConvolveBench {
     /// fan-out contributes nothing and the speedup is the algorithmic
     /// dedup win alone.
     host_cores: usize,
-    min_parallel_ranks: usize,
     reps: u32,
     apps: Vec<AppResult>,
     /// Minimum `speedup_vs_current_serial` across apps.
@@ -113,6 +114,17 @@ fn groups_for(
     let t0 = collect_task_trace(app, 0, nranks, machine, cfg);
     let t1 = collect_task_trace(app, 1.min(nranks - 1), nranks, machine, cfg);
     vec![(t0, 1), (t1, u64::from(nranks) - 1)]
+}
+
+/// Builds the replay model, memoizing group tables in `cache` when given.
+fn build_model(
+    groups: &[(TaskTrace, u64)],
+    nranks: u32,
+    machine: &MachineProfile,
+    cache: Option<&dyn ConvolveCache>,
+) -> (GroupComputeModel, usize) {
+    GroupComputeModel::try_new(groups, nranks, machine, cache, &ObsContext::disabled())
+        .expect("model builds")
 }
 
 /// Min-of-reps wall clock around `f`, returning the last result.
@@ -155,10 +167,8 @@ fn bench_app(
         time_reps(reps, || {
             let programs: Vec<RankProgram> =
                 (0..nranks).map(|r| app.rank_program(r, nranks)).collect();
-            let mut model =
-                GroupComputeModel::try_new(&groups, nranks, machine).expect("model builds");
-            try_simulate_programs_naive(&programs, &machine.net, &mut model)
-                .expect("naive replay runs")
+            let mut model = build_model(&groups, nranks, machine, None).0;
+            simulate_naive(&programs, &machine.net, &mut model).expect("naive replay runs")
         })
     });
 
@@ -169,11 +179,17 @@ fn bench_app(
     let (dedup_serial_wall, dedup_serial_report) = one.install(|| time_reps(reps, replay));
     let (dedup_parallel_wall, dedup_parallel_report) = many.install(|| time_reps(reps, replay));
 
-    let rank_classes = RankClasses::try_from_app(app, nranks)
-        .expect("classes build")
-        .num_classes();
-    let opts = SimOptions::default();
-    let parallel_stepping_ran = threads > 1 && (nranks as usize) >= opts.min_parallel_ranks;
+    let classes = RankClasses::try_from_app(app, nranks).expect("classes build");
+    let rank_classes = classes.num_classes();
+    // One untimed, recorded replay in the N-thread pool: the engine counts
+    // which stepping path it took.
+    let parallel_stepping_ran = many.install(|| {
+        let obs = ObsContext::with_recorder(Recorder::new());
+        let mut model = build_model(&groups, nranks, machine, None).0;
+        simulate(&classes, &machine.net, &mut model, &obs).expect("recorded replay runs");
+        let counters = obs.snapshot().expect("recording context").counters;
+        counters.get("sched.spmd.parallel_sims") == Some(&1)
+    });
 
     let reports_bit_identical = seed_report == current_report
         && current_report == dedup_serial_report
@@ -223,15 +239,13 @@ fn bench_cache(
     let _ = std::fs::remove_dir_all(&dir);
     let store = ArtifactStore::open(&dir).expect("store opens");
 
-    let (_, cold_hits) =
-        GroupComputeModel::try_new_cached(&groups, nranks, machine, &store).expect("cold build");
-    let (mut warm_model, warm_hits) =
-        GroupComputeModel::try_new_cached(&groups, nranks, machine, &store).expect("warm build");
-    let mut plain_model = GroupComputeModel::try_new(&groups, nranks, machine).expect("build");
-    let warm =
-        xtrace_spmd::try_simulate(app, nranks, &machine.net, &mut warm_model).expect("warm replay");
-    let plain = xtrace_spmd::try_simulate(app, nranks, &machine.net, &mut plain_model)
-        .expect("plain replay");
+    let (_, cold_hits) = build_model(&groups, nranks, machine, Some(&store));
+    let (mut warm_model, warm_hits) = build_model(&groups, nranks, machine, Some(&store));
+    let (mut plain_model, _) = build_model(&groups, nranks, machine, None);
+    let classes = RankClasses::try_from_app(app, nranks).expect("classes build");
+    let obs = ObsContext::disabled();
+    let warm = simulate(&classes, &machine.net, &mut warm_model, &obs).expect("warm replay");
+    let plain = simulate(&classes, &machine.net, &mut plain_model, &obs).expect("plain replay");
     let _ = std::fs::remove_dir_all(&dir);
     CacheResult {
         cold_hits,
@@ -340,7 +354,6 @@ fn main() {
         quick,
         threads,
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        min_parallel_ranks: SimOptions::default().min_parallel_ranks,
         reps,
         apps,
         speedup,

@@ -30,7 +30,8 @@ use xtrace_bench::{target_machine, SPECFEM_TARGET, SPECFEM_TRAINING};
 use xtrace_extrap::{
     extrapolate_signature, parallel_fit_enabled, ExtrapolationConfig, MIN_PAR_FIT_ELEMENTS,
 };
-use xtrace_spmd::{MpiProfiler, SpmdApp};
+use xtrace_obs::ObsContext;
+use xtrace_spmd::{profile, SpmdApp};
 use xtrace_tracer::{collect_ranks_memo, FeatureId, SigMemo, TaskTrace, TracerConfig};
 
 #[derive(Serialize)]
@@ -139,7 +140,7 @@ fn main() {
     let traces: Vec<TaskTrace> = training
         .iter()
         .map(|&p| {
-            let comm = MpiProfiler::default().profile(&app, p, &machine.net);
+            let comm = profile(&app, p, &machine.net, &ObsContext::disabled());
             collect_ranks_memo(&app, &[comm.longest_rank], p, &machine, &cfg, &memo)
                 .pop()
                 .expect("one trace")

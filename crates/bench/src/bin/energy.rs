@@ -11,21 +11,23 @@
 
 use xtrace_bench::{
     paper_specfem, paper_tracer, paper_uh3d, print_header, target_machine, training_traces,
-    ProxyAppDyn, SPECFEM_TARGET, SPECFEM_TRAINING, UH3D_TARGET, UH3D_TRAINING,
+    SPECFEM_TARGET, SPECFEM_TRAINING, UH3D_TARGET, UH3D_TRAINING,
 };
+use xtrace_core::PipelineApp;
 use xtrace_extrap::{extrapolate_signature, ExtrapolationConfig};
+use xtrace_obs::ObsContext;
 use xtrace_psins::{relative_error, try_predict_energy};
 use xtrace_tracer::collect_signature_with;
 
-fn run(app: &dyn ProxyAppDyn, training: &[u32], target: u32) {
+fn run(app: &dyn PipelineApp, training: &[u32], target: u32) {
     let machine = target_machine();
     let tracer = paper_tracer();
-    let spmd = app.as_spmd_dyn();
+    let spmd = app.spmd();
     let traces = training_traces(spmd, training, &machine, &tracer);
     let extrapolated =
         extrapolate_signature(&traces, target, &ExtrapolationConfig::default()).unwrap();
     let collected = collect_signature_with(spmd, target, &machine, &tracer);
-    let comm = app.comm_profile_dyn(target);
+    let comm = app.comm_obs(target, &ObsContext::disabled());
 
     let e_ex = try_predict_energy(&extrapolated, &comm, &machine).unwrap();
     let e_coll = try_predict_energy(collected.longest_task(), &collected.comm, &machine).unwrap();

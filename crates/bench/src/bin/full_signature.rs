@@ -11,13 +11,15 @@
 //!
 //! Run with: `cargo run --release -p xtrace-bench --bin full_signature`
 
-use xtrace_apps::{ProxyApp, SpecfemProxy};
+use xtrace_apps::{profiling_net, SpecfemProxy};
 use xtrace_bench::{paper_tracer, print_header};
 use xtrace_extrap::{synthesize_full_signature, ExtrapolationConfig};
 use xtrace_machine::presets;
+use xtrace_obs::ObsContext;
 use xtrace_psins::{
     ground_truth, ground_truth_application, relative_error, try_predict_runtime, try_replay_groups,
 };
+use xtrace_spmd::profile;
 use xtrace_tracer::{collect_ranks, collect_signature_with};
 
 fn main() {
@@ -71,7 +73,7 @@ fn main() {
     // Validate the heaviest group against the longest-task methodology and
     // the collected trace.
     let collected = collect_signature_with(&app, target, &machine, &tracer);
-    let comm = app.comm_profile(target);
+    let comm = profile(&app, target, &profiling_net(), &ObsContext::disabled());
     let p_group = try_predict_runtime(sig.longest(), &comm, &machine).unwrap();
     let p_coll = try_predict_runtime(collected.longest_task(), &collected.comm, &machine).unwrap();
     println!(
@@ -100,8 +102,8 @@ fn main() {
         .map(|g| (g.trace.clone(), g.ranks))
         .collect();
     let replay = try_replay_groups(&app, target, &groups, &machine).unwrap();
-    let exact = ground_truth_application(&app, target, &machine, &tracer);
-    let serial = ground_truth(&app, target, &machine, &tracer);
+    let exact = ground_truth_application(&app, target, &machine, &tracer).unwrap();
+    let serial = ground_truth(&app, target, &machine, &tracer, &ObsContext::disabled());
     println!(
         "\nwhole-application replay at {target} cores (every rank charged from\n\
          its group's synthetic trace, synchronization replayed):"

@@ -21,11 +21,13 @@
 //!
 //! Run with: `cargo run --release -p xtrace-bench --bin input_sensitivity`
 
-use xtrace_apps::{ProxyApp, SpecfemProxy};
+use xtrace_apps::{profiling_net, SpecfemProxy};
 use xtrace_bench::{paper_tracer, print_header};
 use xtrace_extrap::{extrapolate_series, CanonicalForm, ExtrapolationConfig};
 use xtrace_machine::presets;
+use xtrace_obs::ObsContext;
 use xtrace_psins::{relative_error, try_predict_runtime};
+use xtrace_spmd::profile;
 use xtrace_tracer::collect_signature_with;
 
 fn app_with_mesh(elements: u64) -> SpecfemProxy {
@@ -64,7 +66,7 @@ fn run_scenario(label: &str, train_sizes: [u64; 3], target_size: u64, p: u32) ->
 
     let target_app = app_with_mesh(target_size);
     let collected = collect_signature_with(&target_app, p, &machine, &tracer);
-    let comm = target_app.comm_profile(p);
+    let comm = profile(&target_app, p, &profiling_net(), &ObsContext::disabled());
     let pe = try_predict_runtime(&extrapolated, &comm, &machine).unwrap();
     let pc = try_predict_runtime(collected.longest_task(), &collected.comm, &machine).unwrap();
 
@@ -72,7 +74,8 @@ fn run_scenario(label: &str, train_sizes: [u64; 3], target_size: u64, p: u32) ->
     print_header(&["mesh elements", "trace", "runtime (s)"], &[13, 8, 12]);
     for (&n, (_, t)) in train_sizes.iter().zip(&points) {
         let a = app_with_mesh(n);
-        let pr = try_predict_runtime(t, &a.comm_profile(p), &machine).unwrap();
+        let comm = profile(&a, p, &profiling_net(), &ObsContext::disabled());
+        let pr = try_predict_runtime(t, &comm, &machine).unwrap();
         println!("{:>13}  {:>8}  {:>12.2}", n, "Coll.", pr.total_seconds);
     }
     println!(

@@ -14,11 +14,13 @@
 pub mod seed_cache;
 pub mod seed_sim;
 
-use xtrace_apps::{ProxyApp, SpecfemProxy, Uh3dProxy};
+use xtrace_apps::{SpecfemProxy, Uh3dProxy};
+use xtrace_core::PipelineApp;
 use xtrace_extrap::{
     extrapolate_signature, extrapolate_signature_detailed, ElementFit, ExtrapolationConfig,
 };
 use xtrace_machine::{presets, MachineProfile};
+use xtrace_obs::ObsContext;
 use xtrace_psins::{ground_truth, relative_error, try_predict_runtime, GroundTruth, Prediction};
 use xtrace_spmd::SpmdApp;
 use xtrace_tracer::{collect_signature_with, BlockRecord, TaskTrace, TracerConfig};
@@ -104,44 +106,26 @@ impl Table1Row {
 
 /// Runs the full Table I methodology for one application.
 pub fn run_table1_row(
-    app: &dyn ProxyAppDyn,
+    app: &dyn PipelineApp,
     training: &[u32],
     target: u32,
     machine: &MachineProfile,
     cfg: &TracerConfig,
     extrap_cfg: &ExtrapolationConfig,
 ) -> Table1Row {
-    let spmd = app.as_spmd_dyn();
+    let spmd = app.spmd();
     let traces = training_traces(spmd, training, machine, cfg);
     let extrapolated =
         extrapolate_signature(&traces, target, extrap_cfg).expect("valid training ladder");
     let collected_sig = collect_signature_with(spmd, target, machine, cfg);
-    let comm = app.comm_profile_dyn(target);
+    let comm = app.comm_obs(target, &ObsContext::disabled());
     Table1Row {
         app: spmd.name().to_string(),
         cores: target,
         extrap: try_predict_runtime(&extrapolated, &comm, machine).unwrap(),
         collected: try_predict_runtime(collected_sig.longest_task(), &collected_sig.comm, machine)
             .unwrap(),
-        measured: ground_truth(spmd, target, machine, cfg),
-    }
-}
-
-/// Object-safe view over [`ProxyApp`] so experiment drivers can take any
-/// proxy without generics.
-pub trait ProxyAppDyn {
-    /// The underlying SPMD application.
-    fn as_spmd_dyn(&self) -> &dyn SpmdApp;
-    /// The communication profile at `nranks`.
-    fn comm_profile_dyn(&self, nranks: u32) -> xtrace_spmd::CommProfile;
-}
-
-impl<T: ProxyApp> ProxyAppDyn for T {
-    fn as_spmd_dyn(&self) -> &dyn SpmdApp {
-        self.as_spmd()
-    }
-    fn comm_profile_dyn(&self, nranks: u32) -> xtrace_spmd::CommProfile {
-        self.comm_profile(nranks)
+        measured: ground_truth(spmd, target, machine, cfg, &ObsContext::disabled()),
     }
 }
 

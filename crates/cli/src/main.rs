@@ -357,7 +357,7 @@ fn cmd_predict(args: &Args) -> Result<()> {
     let app = make_app(args.require("app")?, args.get("scale").unwrap_or("small"))?;
     let ranks = args.parse_u32("ranks")?;
     let machine = make_machine(args.require("machine")?)?;
-    let comm = app.comm(ranks);
+    let comm = app.comm_obs(ranks, &xtrace_obs::ObsContext::disabled());
     let pred = xtrace_psins::try_predict_runtime(&trace, &comm, &machine)?;
     println!("application : {}", trace.app);
     println!("trace       : rank {} @ {} cores", trace.rank, trace.nranks);

@@ -939,3 +939,106 @@ fn bench_verdict_gates_legs_against_history() {
     let out = xtrace(&["bench-verdict", bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+/// Runs `xtrace pipeline` on the tiny SPECFEM3D config (fast tracer, no
+/// validation) with `extra` flags, returning its `--metrics-out` snapshot.
+fn tiny_specfem_metrics(name: &str, training: &str, extra: &[&str]) -> xtrace_obs::Snapshot {
+    let dir = tmpdir(name);
+    let metrics = dir.join("metrics.json");
+    let mut args = vec![
+        "pipeline",
+        "--app",
+        "specfem3d",
+        "--scale",
+        "tiny",
+        "--machine",
+        "cray-xt5",
+        "--training",
+        training,
+        "--target",
+        "384",
+        "--tracer",
+        "fast",
+        "--validate",
+        "false",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ];
+    args.extend_from_slice(extra);
+    let out = xtrace(&args);
+    assert!(out.status.success(), "{out:?}");
+    serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap()
+}
+
+#[test]
+fn metrics_out_carries_stage_spans_and_required_keys() {
+    let snap = tiny_specfem_metrics("metrics-keys", "6,24,96", &[]);
+    let spans: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();
+    for stage in ["pipeline", "collect", "fit", "synthesize", "convolve"] {
+        assert!(
+            spans.contains(&stage),
+            "missing stage span {stage}: {spans:?}"
+        );
+    }
+    // `engine.*` load gauges are masked out of the golden snapshot, so
+    // this is where their presence is asserted.
+    for key in [
+        "tracer.sig_memo.hits",
+        "tracer.sig_memo.misses",
+        "tracer.sig_memo.hit_rate_bp",
+        "store.hits",
+        "store.misses",
+        "extrap.fit_wins.Constant",
+        "spmd.rank_classes",
+        "spmd.critical_path.segments",
+        "spmd.critical_path.bottleneck_share_bp",
+        "psins.convolve_cache.hits",
+        "tracer.ring.peak_refs",
+        "tracer.ring.capacity_refs",
+        "engine.in_flight",
+        "engine.waiting",
+    ] {
+        assert!(
+            snap.counters.contains_key(key) || snap.gauges.contains_key(key),
+            "missing metrics key {key}"
+        );
+    }
+}
+
+#[test]
+fn wide_collection_keeps_the_ring_bounded_and_stores_compressed_traces() {
+    let store = tmpdir("wide-smoke").join("store");
+    let _ = std::fs::remove_dir_all(&store);
+    let snap = tiny_specfem_metrics(
+        "wide-smoke",
+        "96,192",
+        &[
+            "--ranks-per-count",
+            "64",
+            "--store",
+            store.to_str().unwrap(),
+        ],
+    );
+    let (gauges, counters) = (&snap.gauges, &snap.counters);
+    // Streaming never overfills its ring.
+    let (peak, cap) = (
+        gauges["tracer.ring.peak_refs"],
+        gauges["tracer.ring.capacity_refs"],
+    );
+    assert!(
+        0 < peak && peak <= cap,
+        "ring peak {peak} outside (0, {cap}]"
+    );
+    let raw = counters["tracer.codec.raw_bytes"];
+    let compressed = counters["tracer.codec.compressed_bytes"];
+    assert!(
+        0 < compressed && compressed < raw,
+        "v2 envelope must compress: {compressed} vs {raw} raw bytes"
+    );
+    assert_eq!(counters["store.trace_bytes_written"], compressed);
+    let writes = counters["store.writes"];
+    assert!(
+        writes > 64,
+        "wide collection stored only {writes} artifacts"
+    );
+}

@@ -8,7 +8,7 @@
 //! with the same hash are guaranteed to want the same artifacts.
 
 use serde::{Deserialize, Serialize};
-use xtrace_apps::{ProxyApp, SpecfemProxy, StencilProxy, Uh3dProxy};
+use xtrace_apps::{profiling_net, ProxyApp, SpecfemProxy, StencilProxy, Uh3dProxy};
 use xtrace_extrap::{CanonicalForm, ExtrapolationConfig};
 use xtrace_machine::{presets, MachineProfile};
 use xtrace_obs::ObsContext;
@@ -366,47 +366,34 @@ impl PipelineConfigBuilder {
 pub trait PipelineApp {
     /// The traceable SPMD application.
     fn spmd(&self) -> &dyn SpmdApp;
-    /// The MPI-profiling pass at `nranks`.
-    fn comm(&self, nranks: u32) -> CommProfile;
-    /// The MPI-profiling pass at `nranks`, reporting into an explicit
-    /// observability context. The default ignores the context so that
-    /// hand-written `PipelineApp` impls keep compiling; [`ProxyApp`]s
-    /// route their simulation counters into it.
-    fn comm_obs(&self, nranks: u32, obs: &ObsContext) -> CommProfile {
-        let _ = obs;
-        self.comm(nranks)
-    }
+    /// The MPI-profiling pass at `nranks` on the profiling network,
+    /// reporting into an explicit observability context.
+    fn comm_obs(&self, nranks: u32, obs: &ObsContext) -> CommProfile;
     /// The MPI-profiling pass at `nranks`, additionally attributing the
-    /// critical path of the profiling simulation. The profile must be
+    /// critical path of the profiling simulation. The profile is
     /// bit-identical to [`PipelineApp::comm_obs`] — attribution is a
-    /// read-only observer. The default returns no attribution so that
-    /// hand-written `PipelineApp` impls keep compiling; [`ProxyApp`]s
-    /// return the real report.
+    /// read-only observer.
     fn comm_attr_obs(
         &self,
         nranks: u32,
         obs: &ObsContext,
-    ) -> (CommProfile, Option<CriticalPathReport>) {
-        (self.comm_obs(nranks, obs), None)
-    }
+    ) -> (CommProfile, Option<CriticalPathReport>);
 }
 
 impl<T: ProxyApp> PipelineApp for T {
     fn spmd(&self) -> &dyn SpmdApp {
         self.as_spmd()
     }
-    fn comm(&self, nranks: u32) -> CommProfile {
-        self.comm_profile(nranks)
-    }
     fn comm_obs(&self, nranks: u32, obs: &ObsContext) -> CommProfile {
-        self.comm_profile_obs(nranks, obs)
+        xtrace_spmd::profile(self.as_spmd(), nranks, &profiling_net(), obs)
     }
     fn comm_attr_obs(
         &self,
         nranks: u32,
         obs: &ObsContext,
     ) -> (CommProfile, Option<CriticalPathReport>) {
-        let (profile, critical) = self.comm_profile_attr_obs(nranks, obs);
+        let (profile, critical) =
+            xtrace_spmd::profile_attributed(self.as_spmd(), nranks, &profiling_net(), obs);
         (profile, Some(critical))
     }
 }

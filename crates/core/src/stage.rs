@@ -9,7 +9,7 @@
 //! the engine adds wall-clock timing per stage on top.
 
 use serde::{Deserialize, Serialize};
-use xtrace_psins::{ground_truth_obs, relative_error, try_predict_runtime, Prediction};
+use xtrace_psins::{ground_truth, relative_error, try_predict_runtime, Prediction};
 use xtrace_tracer::{
     collect_signature_memo_obs, collect_signature_with_obs, collect_task_trace_memo_obs, SigMemo,
     TaskTrace,
@@ -200,7 +200,7 @@ pub(crate) fn validate(
         collect_signature_with_obs(ctx.app.spmd(), target, &ctx.machine, &ctx.tracer, &ctx.obs);
     obs.progress(StageKind::Validate, &format!("collected {target} cores"));
     let collected = try_predict_runtime(sig.longest_task(), &sig.comm, &ctx.machine)?;
-    let gt = ground_truth_obs(ctx.app.spmd(), target, &ctx.machine, &ctx.tracer, &ctx.obs);
+    let gt = ground_truth(ctx.app.spmd(), target, &ctx.machine, &ctx.tracer, &ctx.obs);
     obs.progress(StageKind::Validate, "measured ground truth");
     Ok(Validation {
         extrapolated_error: relative_error(prediction.total_seconds, gt.total_seconds),

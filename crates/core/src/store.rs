@@ -595,11 +595,12 @@ mod tests {
         let t0 = xtrace_tracer::collect_task_trace(&app, 0, 4, &machine, &cfg);
         let t1 = xtrace_tracer::collect_task_trace(&app, 1, 4, &machine, &cfg);
         let groups = vec![(t0, 1u64), (t1, 3u64)];
-        let (_, cold) =
-            GroupComputeModel::try_new_cached(&groups, 4, &machine, &store).expect("cold");
+        let build = || {
+            GroupComputeModel::try_new(&groups, 4, &machine, Some(&store), &ObsContext::disabled())
+        };
+        let (_, cold) = build().expect("cold");
         assert_eq!(cold, 0);
-        let (_, warm) =
-            GroupComputeModel::try_new_cached(&groups, 4, &machine, &store).expect("warm");
+        let (_, warm) = build().expect("warm");
         assert_eq!(warm, 2);
     }
 

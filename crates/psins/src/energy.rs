@@ -114,9 +114,10 @@ fn energy_checked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtrace_apps::{ProxyApp, SpecfemProxy, StencilProxy};
+    use xtrace_apps::{profiling_net, SpecfemProxy, StencilProxy};
     use xtrace_extrap::{extrapolate_signature, ExtrapolationConfig};
     use xtrace_machine::presets;
+    use xtrace_obs::ObsContext;
     use xtrace_tracer::{collect_signature_with, TracerConfig};
 
     fn stencil_energy(p: u32) -> EnergyPrediction {
@@ -173,7 +174,7 @@ mod tests {
             .collect();
         let ex = extrapolate_signature(&training, 384, &ExtrapolationConfig::default()).unwrap();
         let coll = collect_signature_with(&app, 384, &machine, &cfg);
-        let comm = app.comm_profile(384);
+        let comm = xtrace_spmd::profile(&app, 384, &profiling_net(), &ObsContext::disabled());
         let e_ex = try_predict_energy(&ex, &comm, &machine).expect("machine matches");
         let e_coll =
             try_predict_energy(coll.longest_task(), &coll.comm, &machine).expect("machine matches");

@@ -19,7 +19,7 @@ use xtrace_cache::CacheHierarchy;
 use xtrace_ir::AccessStream;
 use xtrace_machine::{MachineProfile, PrefetchState};
 use xtrace_obs::ObsContext;
-use xtrace_spmd::{MpiProfiler, RankEvent, SpmdApp};
+use xtrace_spmd::{RankEvent, SpmdApp};
 use xtrace_tracer::{collect_task_trace_memo_obs, rank_stream_seed_for, TracerConfig};
 
 /// The execution-driven "measured" runtime.
@@ -36,27 +36,17 @@ pub struct GroundTruth {
 }
 
 /// Measures the application at `nranks`: finds the most computationally
-/// demanding task and executes it exactly.
+/// demanding task and executes it exactly, recording the profiling and
+/// collection telemetry into `obs`.
 pub fn ground_truth(
-    app: &dyn SpmdApp,
-    nranks: u32,
-    machine: &MachineProfile,
-    cfg: &TracerConfig,
-) -> GroundTruth {
-    ground_truth_obs(app, nranks, machine, cfg, &ObsContext::disabled())
-}
-
-/// [`ground_truth`] recording the profiling/collection telemetry into an
-/// explicit observability context.
-pub fn ground_truth_obs(
     app: &dyn SpmdApp,
     nranks: u32,
     machine: &MachineProfile,
     cfg: &TracerConfig,
     obs: &ObsContext,
 ) -> GroundTruth {
-    let comm = MpiProfiler::default().profile_obs(app, nranks, &machine.net, obs);
-    let compute = ground_truth_for_rank_obs(app, comm.longest_rank, nranks, machine, cfg, obs);
+    let comm = xtrace_spmd::profile(app, nranks, &machine.net, obs);
+    let compute = ground_truth_for_rank(app, comm.longest_rank, nranks, machine, cfg, obs);
     let comm_seconds = comm.comm_seconds(&machine.net);
     GroundTruth {
         compute_seconds: compute,
@@ -74,18 +64,6 @@ pub fn ground_truth_obs(
 /// uses; block times are overlap-combined identically. The *only*
 /// difference from the prediction is exact per-access memory costing.
 pub fn ground_truth_for_rank(
-    app: &dyn SpmdApp,
-    rank: u32,
-    nranks: u32,
-    machine: &MachineProfile,
-    cfg: &TracerConfig,
-) -> f64 {
-    ground_truth_for_rank_obs(app, rank, nranks, machine, cfg, &ObsContext::disabled())
-}
-
-/// [`ground_truth_for_rank`] recording into an explicit observability
-/// context.
-pub fn ground_truth_for_rank_obs(
     app: &dyn SpmdApp,
     rank: u32,
     nranks: u32,
@@ -180,7 +158,13 @@ mod tests {
     fn ground_truth_is_positive_and_decomposes() {
         let app = StencilProxy::medium();
         let machine = presets::cray_xt5();
-        let gt = ground_truth(&app, 4, &machine, &TracerConfig::fast());
+        let gt = ground_truth(
+            &app,
+            4,
+            &machine,
+            &TracerConfig::fast(),
+            &ObsContext::disabled(),
+        );
         assert!(gt.compute_seconds > 0.0);
         assert!(gt.comm_seconds > 0.0);
         assert!((gt.total_seconds - gt.compute_seconds - gt.comm_seconds).abs() < 1e-12);
@@ -196,7 +180,7 @@ mod tests {
         let cfg = TracerConfig::fast();
         let sig = collect_signature_with(&app, 8, &machine, &cfg);
         let pred = try_predict_runtime(sig.longest_task(), &sig.comm, &machine).unwrap();
-        let gt = ground_truth(&app, 8, &machine, &cfg);
+        let gt = ground_truth(&app, 8, &machine, &cfg, &ObsContext::disabled());
         let err = crate::relative_error(pred.total_seconds, gt.total_seconds);
         assert!(
             err < 0.25,
@@ -210,7 +194,13 @@ mod tests {
     fn ground_truth_measures_the_longest_rank() {
         let app = Uh3dProxy::small();
         let machine = presets::cray_xt5();
-        let gt = ground_truth(&app, 4, &machine, &TracerConfig::fast());
+        let gt = ground_truth(
+            &app,
+            4,
+            &machine,
+            &TracerConfig::fast(),
+            &ObsContext::disabled(),
+        );
         assert_eq!(gt.rank, 0, "uh3d master rank is the longest task");
     }
 
@@ -219,8 +209,8 @@ mod tests {
         let app = StencilProxy::small();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
-        let a = ground_truth(&app, 2, &machine, &cfg);
-        let b = ground_truth(&app, 2, &machine, &cfg);
+        let a = ground_truth(&app, 2, &machine, &cfg, &ObsContext::disabled());
+        let b = ground_truth(&app, 2, &machine, &cfg, &ObsContext::disabled());
         assert_eq!(a, b);
     }
 
@@ -229,8 +219,8 @@ mod tests {
         let app = StencilProxy::medium();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
-        let gt4 = ground_truth(&app, 4, &machine, &cfg);
-        let gt16 = ground_truth(&app, 16, &machine, &cfg);
+        let gt4 = ground_truth(&app, 4, &machine, &cfg, &ObsContext::disabled());
+        let gt16 = ground_truth(&app, 16, &machine, &cfg, &ObsContext::disabled());
         assert!(gt16.compute_seconds < gt4.compute_seconds);
     }
 }

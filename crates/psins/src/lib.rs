@@ -30,9 +30,7 @@ pub mod predict;
 pub mod replay;
 
 pub use energy::{try_predict_energy, EnergyPrediction};
-pub use ground_truth::{
-    ground_truth, ground_truth_for_rank, ground_truth_for_rank_obs, ground_truth_obs, GroundTruth,
-};
+pub use ground_truth::{ground_truth, ground_truth_for_rank, GroundTruth};
 pub use predict::{try_predict_runtime, BlockTime, Prediction};
 pub use replay::{
     ground_truth_application, try_replay_groups, try_replay_groups_traced, ConvolveCache,

@@ -15,11 +15,15 @@
 //! parallel across groups when a thread pool is available), the engine
 //! deduplicates rank classes via [`xtrace_spmd::RankClasses`] so per-rank
 //! program materialization never happens, and convolved group tables can
-//! be memoized across pipeline runs through a [`ConvolveCache`].
+//! be memoized across pipeline runs by handing
+//! [`GroupComputeModel::try_new`] a [`ConvolveCache`].
 //!
+//! [`try_replay_groups`] and [`try_replay_groups_traced`] run that model
+//! through [`xtrace_spmd::simulate`] and [`xtrace_spmd::simulate_timeline`].
 //! An exact counterpart, [`ground_truth_application`], runs every rank's
 //! address streams with exact per-access costs through the same engine, so
-//! replay predictions can be validated end to end.
+//! replay predictions can be validated end to end. All three fail with a
+//! typed [`PredictError`] instead of panicking.
 
 use std::collections::HashMap;
 
@@ -27,7 +31,10 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xtrace_machine::MachineProfile;
 use xtrace_obs::ObsContext;
-use xtrace_spmd::{ComputeModel, SimError, SimReport, SpmdApp, TimelineEntry};
+use xtrace_spmd::{
+    simulate, simulate_timeline, ComputeModel, RankClasses, SimError, SimReport, SpmdApp,
+    TimelineEntry,
+};
 use xtrace_tracer::{TaskTrace, TracerConfig};
 
 use crate::ground_truth::ground_truth_for_rank;
@@ -139,47 +146,22 @@ pub struct GroupComputeModel {
 }
 
 impl GroupComputeModel {
-    /// Builds the model for `nranks` ranks from signature groups.
+    /// Builds the model for `nranks` ranks from signature groups, recording
+    /// convolve telemetry into `obs`. With a `cache`, per-group convolution
+    /// results are memoized there; the second return value counts the
+    /// cache hits (always 0 without one).
     ///
-    /// # Panics
-    ///
-    /// Panics if the groups cover fewer ranks than `nranks` or a group's
-    /// trace was collected against a different machine.
-    pub fn new(groups: &[(TaskTrace, u64)], nranks: u32, machine: &MachineProfile) -> Self {
-        Self::try_new(groups, nranks, machine).expect("replay model construction failed")
-    }
-
-    /// Fallible form of [`GroupComputeModel::new`].
+    /// Fails with [`PredictError::GroupCoverage`] if the groups cover fewer
+    /// ranks than `nranks`, and with [`PredictError::MachineMismatch`] if a
+    /// group's trace was collected against a different machine.
     pub fn try_new(
         groups: &[(TaskTrace, u64)],
         nranks: u32,
         machine: &MachineProfile,
-    ) -> Result<Self, PredictError> {
-        let tables = Self::convolve_all(groups, nranks, machine, None, &ObsContext::disabled())?.0;
-        Ok(Self::from_tables(groups, nranks, tables))
-    }
-
-    /// Like [`GroupComputeModel::try_new`], memoizing per-group convolution
-    /// results in `cache`. Returns the model and the number of cache hits.
-    pub fn try_new_cached(
-        groups: &[(TaskTrace, u64)],
-        nranks: u32,
-        machine: &MachineProfile,
-        cache: &dyn ConvolveCache,
-    ) -> Result<(Self, usize), PredictError> {
-        Self::try_new_cached_obs(groups, nranks, machine, cache, &ObsContext::disabled())
-    }
-
-    /// [`GroupComputeModel::try_new_cached`] recording convolve telemetry
-    /// into an explicit observability context.
-    pub fn try_new_cached_obs(
-        groups: &[(TaskTrace, u64)],
-        nranks: u32,
-        machine: &MachineProfile,
-        cache: &dyn ConvolveCache,
+        cache: Option<&dyn ConvolveCache>,
         obs: &ObsContext,
     ) -> Result<(Self, usize), PredictError> {
-        let (tables, hits) = Self::convolve_all(groups, nranks, machine, Some(cache), obs)?;
+        let (tables, hits) = Self::convolve_all(groups, nranks, machine, cache, obs)?;
         Ok((Self::from_tables(groups, nranks, tables), hits))
     }
 
@@ -357,8 +339,10 @@ pub fn try_replay_groups(
     groups: &[(TaskTrace, u64)],
     machine: &MachineProfile,
 ) -> Result<SimReport, PredictError> {
-    let mut model = GroupComputeModel::try_new(groups, nranks, machine)?;
-    xtrace_spmd::try_simulate(app, nranks, &machine.net, &mut model).map_err(sim_err)
+    let (mut model, _) =
+        GroupComputeModel::try_new(groups, nranks, machine, None, &ObsContext::disabled())?;
+    let classes = RankClasses::try_from_app(app, nranks).map_err(sim_err)?;
+    simulate(&classes, &machine.net, &mut model, &ObsContext::disabled()).map_err(sim_err)
 }
 
 /// Like [`try_replay_groups`], additionally returning the predicted replay
@@ -370,8 +354,10 @@ pub fn try_replay_groups_traced(
     groups: &[(TaskTrace, u64)],
     machine: &MachineProfile,
 ) -> Result<(SimReport, Vec<TimelineEntry>), PredictError> {
-    let mut model = GroupComputeModel::try_new(groups, nranks, machine)?;
-    xtrace_spmd::try_simulate_traced(app, nranks, &machine.net, &mut model).map_err(sim_err)
+    let (mut model, _) =
+        GroupComputeModel::try_new(groups, nranks, machine, None, &ObsContext::disabled())?;
+    let classes = RankClasses::try_from_app(app, nranks).map_err(sim_err)?;
+    simulate_timeline(&classes, &machine.net, &mut model).map_err(sim_err)
 }
 
 /// A per-iteration block-time table for one rank, in the shared column
@@ -387,7 +373,8 @@ fn exact_rank_table(
     // blocks proportionally to the convolution-free split, then scale so
     // the sum equals the exact total.
     let trace = xtrace_tracer::collect_task_trace(app, rank, nranks, machine, cfg);
-    let exact_total = ground_truth_for_rank(app, rank, nranks, machine, cfg);
+    let exact_total =
+        ground_truth_for_rank(app, rank, nranks, machine, cfg, &ObsContext::disabled());
     let comm = xtrace_spmd::CommProfile {
         nranks,
         longest_rank: rank,
@@ -417,13 +404,15 @@ fn exact_rank_table(
 /// from executing its address streams with exact per-access costs, then the
 /// same engine replays the event script. Cost scales with `nranks` (one
 /// sampled execution per rank, fanned out over the rayon pool when one is
-/// available); intended for validation at moderate scale.
+/// available); intended for validation at moderate scale. Fails with a
+/// typed [`PredictError`] on malformed rank programs.
 pub fn ground_truth_application(
     app: &dyn SpmdApp,
     nranks: u32,
     machine: &MachineProfile,
     cfg: &TracerConfig,
-) -> SimReport {
+) -> Result<SimReport, PredictError> {
+    let classes = RankClasses::try_from_app(app, nranks).map_err(sim_err)?;
     // Build every rank's exact table up front: the builds are independent
     // and pure, so they parallelize; ordered reassembly keeps the model
     // (and therefore the report) identical to a serial build.
@@ -487,7 +476,7 @@ pub fn ground_truth_application(
     }
 
     let mut model = ExactModel { name_ix, tables };
-    xtrace_spmd::simulate(app, nranks, &machine.net, &mut model)
+    simulate(&classes, &machine.net, &mut model, &ObsContext::disabled()).map_err(sim_err)
 }
 
 #[cfg(test)]
@@ -497,6 +486,15 @@ mod tests {
     use xtrace_apps::StencilProxy;
     use xtrace_machine::presets;
     use xtrace_tracer::collect_task_trace;
+
+    fn build(
+        groups: &[(TaskTrace, u64)],
+        nranks: u32,
+        machine: &MachineProfile,
+        cache: Option<&dyn ConvolveCache>,
+    ) -> Result<(GroupComputeModel, usize), PredictError> {
+        GroupComputeModel::try_new(groups, nranks, machine, cache, &ObsContext::disabled())
+    }
 
     fn groups_for(
         app: &StencilProxy,
@@ -553,7 +551,7 @@ mod tests {
         let cfg = TracerConfig::fast();
         let groups = groups_for(&app, 8, &machine);
         let replay = try_replay_groups(&app, 8, &groups, &machine).unwrap();
-        let exact = ground_truth_application(&app, 8, &machine, &cfg);
+        let exact = ground_truth_application(&app, 8, &machine, &cfg).unwrap();
         let rel = (replay.total_seconds - exact.total_seconds).abs() / exact.total_seconds;
         assert!(
             rel < 0.25,
@@ -578,22 +576,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "groups cover")]
-    fn undersized_groups_panic() {
-        let app = StencilProxy::small();
-        let machine = presets::cray_xt5();
-        let cfg = TracerConfig::fast();
-        let t0 = collect_task_trace(&app, 0, 8, &machine, &cfg);
-        GroupComputeModel::new(&[(t0, 2)], 8, &machine);
-    }
-
-    #[test]
     fn undersized_groups_report_typed_errors() {
         let app = StencilProxy::small();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
         let t0 = collect_task_trace(&app, 0, 8, &machine, &cfg);
-        let err = GroupComputeModel::try_new(&[(t0, 2)], 8, &machine)
+        let err = build(&[(t0, 2)], 8, &machine, None)
             .err()
             .expect("undersized groups must fail");
         assert_eq!(
@@ -613,7 +601,7 @@ mod tests {
         let cfg = TracerConfig::fast();
         let t0 = collect_task_trace(&app, 0, 4, &machine, &cfg);
         let other = presets::bluewaters_phase1();
-        let err = GroupComputeModel::try_new(&[(t0, 4)], 4, &other)
+        let err = build(&[(t0, 4)], 4, &other, None)
             .err()
             .expect("machine mismatch must fail");
         assert!(matches!(err, PredictError::MachineMismatch { .. }));
@@ -643,22 +631,19 @@ mod tests {
         let groups = groups_for(&app, 8, &machine);
         let cache = MemCache::default();
 
-        let (_, cold_hits) =
-            GroupComputeModel::try_new_cached(&groups, 8, &machine, &cache).expect("cold build");
+        let (_, cold_hits) = build(&groups, 8, &machine, Some(&cache)).expect("cold build");
         assert_eq!(cold_hits, 0);
-        let (_, warm_hits) =
-            GroupComputeModel::try_new_cached(&groups, 8, &machine, &cache).expect("warm build");
+        let (_, warm_hits) = build(&groups, 8, &machine, Some(&cache)).expect("warm build");
         assert_eq!(warm_hits, 2, "both group tables should come from cache");
 
         // The replay through the cache matches the uncached replay exactly.
-        let mut cached_model = GroupComputeModel::try_new_cached(&groups, 8, &machine, &cache)
-            .expect("warm build")
-            .0;
-        let mut plain_model = GroupComputeModel::try_new(&groups, 8, &machine).expect("build");
-        let a = xtrace_spmd::try_simulate(&app, 8, &machine.net, &mut cached_model)
-            .expect("cached replay");
-        let b = xtrace_spmd::try_simulate(&app, 8, &machine.net, &mut plain_model)
-            .expect("plain replay");
+        let (mut cached_model, _) = build(&groups, 8, &machine, Some(&cache)).expect("warm build");
+        let (mut plain_model, plain_hits) = build(&groups, 8, &machine, None).expect("build");
+        assert_eq!(plain_hits, 0);
+        let classes = RankClasses::try_from_app(&app, 8).expect("classes build");
+        let obs = ObsContext::disabled();
+        let a = simulate(&classes, &machine.net, &mut cached_model, &obs).expect("cached replay");
+        let b = simulate(&classes, &machine.net, &mut plain_model, &obs).expect("plain replay");
         assert_eq!(a, b);
     }
 

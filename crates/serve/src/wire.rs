@@ -258,7 +258,7 @@ pub struct ServeSweepResponseV1 {
     pub api_version: u32,
     /// Hash of the shared collect+fit prefix.
     pub prefix_hash: String,
-    /// The swept core counts, ascending.
+    /// The swept core counts, in request order.
     pub targets: Vec<u32>,
     /// One prediction row per target — the same rows `xtrace pipeline
     /// --targets --out` writes.

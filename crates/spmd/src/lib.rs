@@ -18,10 +18,9 @@
 //! * [`critical::CriticalPathReport`] — per-superstep critical-path
 //!   attribution: which (rank-class, phase) segments bound the simulated
 //!   clock, with blocking-partner edges and exact-10 000-bp path shares;
-//! * [`profile::MpiProfiler`] — the PSiNSTracer analog: a lightweight pass
-//!   that finds "the MPI task that consumed the most computational time"
-//!   (Section IV) and summarizes the communication events the prediction
-//!   replays.
+//! * [`profile()`] — the PSiNSTracer analog: a lightweight pass that finds
+//!   "the MPI task that consumed the most computational time" (Section IV)
+//!   and summarizes the communication events the prediction replays.
 //!
 //! The engine assumes SPMD alignment: every rank executes the same event
 //! *shape* (kinds, in the same order), which holds for the proxy apps by
@@ -43,11 +42,8 @@ pub use critical::{
 };
 pub use event::{RankEvent, RankProgram, SpmdApp};
 pub use net::NetworkModel;
-pub use profile::{CommEventRecord, CommKind, CommProfile, MpiProfiler};
+pub use profile::{profile, profile_attributed, CommEventRecord, CommKind, CommProfile};
 pub use sim::{
-    simulate, simulate_programs, simulate_programs_naive, simulate_programs_traced, try_simulate,
-    try_simulate_classes, try_simulate_programs, try_simulate_programs_naive,
-    try_simulate_programs_traced, try_simulate_traced, try_simulate_with, RankClasses, RankTimes,
-    SimError, SimOptions, SimReport, TimelineEntry,
+    simulate, simulate_attributed, simulate_naive, simulate_timeline, RankClasses, RankTimes,
+    SimError, SimReport, TimelineEntry,
 };
-pub use sim::{try_simulate_attr_obs, try_simulate_classes_attr_obs};

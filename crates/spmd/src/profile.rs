@@ -3,7 +3,7 @@
 //! Section IV: "we focus on extrapolating the trace data from the MPI task
 //! that consumed the most computational time … identified using a
 //! lightweight MPI profiling library based on the PSiNSTracer package."
-//! [`MpiProfiler`] is that pass: it runs the cheap nominal-rate simulation
+//! [`profile`] is that pass: it runs the cheap nominal-rate simulation
 //! (no cache modeling) to rank tasks by compute demand, and records the
 //! communication-event summary that the prediction later replays around the
 //! convolved compute time.
@@ -15,7 +15,7 @@ use crate::compute::NominalComputeModel;
 use crate::critical::CriticalPathReport;
 use crate::event::{RankEvent, SpmdApp};
 use crate::net::NetworkModel;
-use crate::sim::{try_simulate_attr_obs, try_simulate_with_obs, SimOptions, SimReport};
+use crate::sim::{simulate, simulate_attributed, RankClasses, SimReport};
 
 /// Communication event classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,117 +83,102 @@ impl CommProfile {
     }
 }
 
-/// The profiling pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MpiProfiler {
-    /// Rates used to rank tasks by computational demand.
-    pub rates: NominalComputeModel,
+/// Profiles `app` at `nranks` through `net`, returning the communication
+/// profile of the most computationally demanding task. The nominal-rate
+/// simulation records into `obs`.
+///
+/// # Panics
+///
+/// Panics if `app` violates SPMD alignment (see [`SimError`]).
+///
+/// [`SimError`]: crate::SimError
+pub fn profile(
+    app: &dyn SpmdApp,
+    nranks: u32,
+    net: &NetworkModel,
+    obs: &ObsContext,
+) -> CommProfile {
+    let report = RankClasses::try_from_app(app, nranks)
+        .and_then(|classes| simulate(&classes, net, &mut NominalComputeModel::default(), obs))
+        .expect("SPMD simulation failed");
+    summarize(app, nranks, &report)
 }
 
-impl MpiProfiler {
-    /// Profiles `app` at `nranks`, returning the communication profile of
-    /// the most computationally demanding task.
-    pub fn profile(&self, app: &dyn SpmdApp, nranks: u32, net: &NetworkModel) -> CommProfile {
-        self.profile_obs(app, nranks, net, &ObsContext::disabled())
-    }
+/// [`profile`] additionally returning the critical-path attribution of the
+/// nominal-rate simulation. The [`CommProfile`] is bit-identical to the
+/// unattributed pass (attribution never perturbs the simulation).
+///
+/// # Panics
+///
+/// Panics on the same SPMD violations as [`profile`].
+pub fn profile_attributed(
+    app: &dyn SpmdApp,
+    nranks: u32,
+    net: &NetworkModel,
+    obs: &ObsContext,
+) -> (CommProfile, CriticalPathReport) {
+    let (report, critical) = RankClasses::try_from_app(app, nranks)
+        .and_then(|classes| {
+            simulate_attributed(&classes, net, &mut NominalComputeModel::default(), obs)
+        })
+        .expect("SPMD simulation failed");
+    (summarize(app, nranks, &report), critical)
+}
 
-    /// [`MpiProfiler::profile`] recording the underlying nominal-rate
-    /// simulation into an explicit observability context.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same SPMD violations as [`crate::simulate`].
-    pub fn profile_obs(
-        &self,
-        app: &dyn SpmdApp,
-        nranks: u32,
-        net: &NetworkModel,
-        obs: &ObsContext,
-    ) -> CommProfile {
-        let mut rates = self.rates;
-        let report =
-            try_simulate_with_obs(app, nranks, net, &mut rates, SimOptions::default(), obs)
-                .expect("SPMD simulation failed");
-        self.summarize(app, nranks, &report)
-    }
-
-    /// [`MpiProfiler::profile_obs`] additionally returning the
-    /// critical-path attribution of the underlying nominal-rate
-    /// simulation. The [`CommProfile`] is bit-identical to the
-    /// unattributed pass (attribution never perturbs the simulation).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same SPMD violations as [`crate::simulate`].
-    pub fn profile_attr_obs(
-        &self,
-        app: &dyn SpmdApp,
-        nranks: u32,
-        net: &NetworkModel,
-        obs: &ObsContext,
-    ) -> (CommProfile, CriticalPathReport) {
-        let mut rates = self.rates;
-        let (report, critical) =
-            try_simulate_attr_obs(app, nranks, net, &mut rates, SimOptions::default(), obs)
-                .expect("SPMD simulation failed");
-        (self.summarize(app, nranks, &report), critical)
-    }
-
-    /// Folds a finished simulation into the communication profile of its
-    /// most computationally demanding task.
-    fn summarize(&self, app: &dyn SpmdApp, nranks: u32, report: &SimReport) -> CommProfile {
-        let longest = report.most_computational_rank();
-        let program = app.rank_program(longest, nranks);
-        let events = program
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                RankEvent::Compute { .. } => None,
-                RankEvent::Exchange {
-                    neighbors,
-                    bytes_per_neighbor,
-                    repeats,
-                } => Some(CommEventRecord {
-                    kind: CommKind::Exchange,
-                    neighbors: neighbors.len() as u32,
-                    bytes: *bytes_per_neighbor,
-                    repeats: *repeats,
-                }),
-                RankEvent::Allreduce { bytes, repeats } => Some(CommEventRecord {
-                    kind: CommKind::Allreduce,
-                    neighbors: 0,
-                    bytes: *bytes,
-                    repeats: *repeats,
-                }),
-                RankEvent::Broadcast { bytes, repeats } => Some(CommEventRecord {
-                    kind: CommKind::Broadcast,
-                    neighbors: 0,
-                    bytes: *bytes,
-                    repeats: *repeats,
-                }),
-                RankEvent::Alltoall {
-                    bytes_per_pair,
-                    repeats,
-                } => Some(CommEventRecord {
-                    kind: CommKind::Alltoall,
-                    neighbors: 0,
-                    bytes: *bytes_per_pair,
-                    repeats: *repeats,
-                }),
-                RankEvent::Barrier { repeats } => Some(CommEventRecord {
-                    kind: CommKind::Barrier,
-                    neighbors: 0,
-                    bytes: 0,
-                    repeats: *repeats,
-                }),
-            })
-            .collect();
-        CommProfile {
-            nranks,
-            longest_rank: longest,
-            events,
-            compute_imbalance: report.compute_imbalance(),
-        }
+/// Folds a finished simulation into the communication profile of its
+/// most computationally demanding task.
+fn summarize(app: &dyn SpmdApp, nranks: u32, report: &SimReport) -> CommProfile {
+    let longest = report.most_computational_rank();
+    let program = app.rank_program(longest, nranks);
+    let events = program
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            RankEvent::Compute { .. } => None,
+            RankEvent::Exchange {
+                neighbors,
+                bytes_per_neighbor,
+                repeats,
+            } => Some(CommEventRecord {
+                kind: CommKind::Exchange,
+                neighbors: neighbors.len() as u32,
+                bytes: *bytes_per_neighbor,
+                repeats: *repeats,
+            }),
+            RankEvent::Allreduce { bytes, repeats } => Some(CommEventRecord {
+                kind: CommKind::Allreduce,
+                neighbors: 0,
+                bytes: *bytes,
+                repeats: *repeats,
+            }),
+            RankEvent::Broadcast { bytes, repeats } => Some(CommEventRecord {
+                kind: CommKind::Broadcast,
+                neighbors: 0,
+                bytes: *bytes,
+                repeats: *repeats,
+            }),
+            RankEvent::Alltoall {
+                bytes_per_pair,
+                repeats,
+            } => Some(CommEventRecord {
+                kind: CommKind::Alltoall,
+                neighbors: 0,
+                bytes: *bytes_per_pair,
+                repeats: *repeats,
+            }),
+            RankEvent::Barrier { repeats } => Some(CommEventRecord {
+                kind: CommKind::Barrier,
+                neighbors: 0,
+                bytes: 0,
+                repeats: *repeats,
+            }),
+        })
+        .collect();
+    CommProfile {
+        nranks,
+        longest_rank: longest,
+        events,
+        compute_imbalance: report.compute_imbalance(),
     }
 }
 
@@ -248,14 +233,14 @@ mod tests {
 
     #[test]
     fn finds_the_heavy_rank() {
-        let prof = MpiProfiler::default().profile(&LastRankHeavy, 8, &net());
+        let prof = profile(&LastRankHeavy, 8, &net(), &ObsContext::disabled());
         assert_eq!(prof.longest_rank, 7);
         assert_eq!(prof.nranks, 8);
     }
 
     #[test]
     fn records_comm_events_in_order() {
-        let prof = MpiProfiler::default().profile(&LastRankHeavy, 8, &net());
+        let prof = profile(&LastRankHeavy, 8, &net(), &ObsContext::disabled());
         assert_eq!(prof.events.len(), 2);
         assert_eq!(prof.events[0].kind, CommKind::Allreduce);
         assert_eq!(prof.events[0].repeats, 10);
@@ -266,27 +251,23 @@ mod tests {
 
     #[test]
     fn comm_seconds_replays_costs() {
-        let prof = MpiProfiler::default().profile(&LastRankHeavy, 8, &net());
+        let prof = profile(&LastRankHeavy, 8, &net(), &ObsContext::disabled());
         let expected = net().allreduce(8, 8) * 10.0 + net().exchange(1, 2048) * 5.0;
         assert!((prof.comm_seconds(&net()) - expected).abs() < 1e-12);
     }
 
     #[test]
     fn imbalance_is_captured() {
-        let prof = MpiProfiler::default().profile(&LastRankHeavy, 8, &net());
+        let prof = profile(&LastRankHeavy, 8, &net(), &ObsContext::disabled());
         // 7 ranks at 1.0, one at 2.0: mean 9/8, max 2 -> 16/9.
         assert!((prof.compute_imbalance - 16.0 / 9.0).abs() < 1e-9);
     }
 
     #[test]
     fn attributed_profile_matches_plain_and_carries_the_path() {
-        let plain = MpiProfiler::default().profile(&LastRankHeavy, 8, &net());
-        let (prof, critical) = MpiProfiler::default().profile_attr_obs(
-            &LastRankHeavy,
-            8,
-            &net(),
-            &ObsContext::disabled(),
-        );
+        let plain = profile(&LastRankHeavy, 8, &net(), &ObsContext::disabled());
+        let (prof, critical) =
+            profile_attributed(&LastRankHeavy, 8, &net(), &ObsContext::disabled());
         assert_eq!(prof, plain, "attribution must not perturb the profile");
         assert_eq!(critical.nranks, 8);
         assert_eq!(critical.share_sum_bp(), 10_000);
@@ -295,7 +276,7 @@ mod tests {
 
     #[test]
     fn profile_serializes() {
-        let prof = MpiProfiler::default().profile(&LastRankHeavy, 4, &net());
+        let prof = profile(&LastRankHeavy, 4, &net(), &ObsContext::disabled());
         let s = serde_json::to_string(&prof).unwrap();
         let back: CommProfile = serde_json::from_str(&s).unwrap();
         assert_eq!(back.events, prof.events);

@@ -23,7 +23,7 @@
 //! O(classes) while producing bit-identical [`SimReport`]s: every
 //! per-rank floating-point update is performed in the same order with the
 //! same values as the naive per-rank walk (the reference implementation is
-//! kept as [`simulate_programs_naive`] and equality is enforced by
+//! kept as [`simulate_naive`] and equality is enforced by
 //! proptests).
 //!
 //! # Parallel stepping
@@ -186,9 +186,8 @@ impl std::fmt::Display for SimError {
     }
 }
 
-// Debug delegates to Display so `.expect(...)` panics in the legacy
-// wrappers carry the human-readable message (and the substrings the
-// long-standing `#[should_panic(expected = ...)]` tests assert on).
+// Debug delegates to Display so an `.expect(...)` on a simulation result
+// panics with the human-readable message.
 impl std::fmt::Debug for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Display::fmt(self, f)
@@ -197,48 +196,9 @@ impl std::fmt::Debug for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Engine tuning knobs. The defaults are correct for every caller; they
-/// exist so benches and determinism tests can force specific paths.
-///
-/// The struct is `#[non_exhaustive]`: construct it with
-/// [`SimOptions::default`] and refine with the `with_*` setters so new
-/// knobs can be added without breaking callers.
-#[derive(Debug, Clone, Copy)]
-#[non_exhaustive]
-pub struct SimOptions {
-    /// Allow the per-rank update fan-out over the rayon pool. The engine
-    /// additionally requires a multi-thread pool and at least
-    /// `min_parallel_ranks` ranks, so small jobs never pay thread-spawn
-    /// overhead.
-    pub parallel: bool,
-    /// Rank count below which updates always run serially.
-    pub min_parallel_ranks: usize,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        Self {
-            parallel: true,
-            min_parallel_ranks: 256,
-        }
-    }
-}
-
-impl SimOptions {
-    /// Allows or forbids the per-rank update fan-out.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Sets the rank count below which updates always run serially.
-    #[must_use]
-    pub fn with_min_parallel_ranks(mut self, n: usize) -> Self {
-        self.min_parallel_ranks = n;
-        self
-    }
-}
+/// Rank count below which the engine always steps serially, so small jobs
+/// never pay thread-spawn overhead.
+const MIN_PARALLEL_RANKS: usize = 256;
 
 /// Rank-class decomposition of an SPMD job: one representative
 /// [`RankProgram`] per equivalence class plus the per-rank residue (class
@@ -514,198 +474,33 @@ impl RankClasses {
     }
 }
 
-/// Simulates `app` on `nranks` ranks.
-///
-/// Uses the class-deduplicated engine; apps providing
-/// [`SpmdApp::rank_class`] keys skip the per-rank program builds entirely.
-///
-/// # Panics
-///
-/// Panics if `nranks == 0`, if ranks disagree on event shape (an SPMD
-/// violation), or if an exchange names an out-of-range neighbor.
+/// Runs the class-deduplicated engine over a prepared decomposition (build
+/// it with [`RankClasses::try_from_app`] or
+/// [`RankClasses::try_from_programs`]), recording into `obs`.
 pub fn simulate(
-    app: &dyn SpmdApp,
-    nranks: u32,
+    classes: &RankClasses,
     net: &NetworkModel,
     compute: &mut dyn ComputeModel,
-) -> SimReport {
-    expect_sim(try_simulate(app, nranks, net, compute))
-}
-
-/// Fallible form of [`simulate`].
-pub fn try_simulate(
-    app: &dyn SpmdApp,
-    nranks: u32,
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-) -> Result<SimReport, SimError> {
-    try_simulate_with(app, nranks, net, compute, SimOptions::default())
-}
-
-/// [`try_simulate`] with explicit engine options.
-pub fn try_simulate_with(
-    app: &dyn SpmdApp,
-    nranks: u32,
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-    opts: SimOptions,
-) -> Result<SimReport, SimError> {
-    try_simulate_with_obs(app, nranks, net, compute, opts, &ObsContext::disabled())
-}
-
-/// [`try_simulate_with`] recording into an explicit observability context
-/// ([`SimOptions`] is `Copy`, so the context travels as its own argument).
-pub fn try_simulate_with_obs(
-    app: &dyn SpmdApp,
-    nranks: u32,
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-    opts: SimOptions,
     obs: &ObsContext,
 ) -> Result<SimReport, SimError> {
-    let classes = RankClasses::try_from_app(app, nranks)?;
-    simulate_classes_inner(&classes, net, compute, opts, None, None, obs)
+    simulate_classes_inner(classes, net, compute, None, None, obs)
 }
 
-/// [`try_simulate_with_obs`] additionally attributing, per superstep, which
+/// [`simulate`] additionally attributing, per superstep, which
 /// (rank-class, phase) segment lies on the critical path of the simulated
-/// clock. Attribution is computed serially from the deterministic
-/// simulation state, so the [`SimReport`] is bit-identical to the
-/// unattributed run and the [`CriticalPathReport`] is thread-invariant.
-pub fn try_simulate_attr_obs(
-    app: &dyn SpmdApp,
-    nranks: u32,
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-    opts: SimOptions,
-    obs: &ObsContext,
-) -> Result<(SimReport, CriticalPathReport), SimError> {
-    let classes = RankClasses::try_from_app(app, nranks)?;
-    try_simulate_classes_attr_obs(&classes, net, compute, opts, obs)
-}
-
-/// Like [`try_simulate`], additionally recording the full replay timeline.
-pub fn try_simulate_traced(
-    app: &dyn SpmdApp,
-    nranks: u32,
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-) -> Result<(SimReport, Vec<TimelineEntry>), SimError> {
-    let classes = RankClasses::try_from_app(app, nranks)?;
-    let mut timeline = Vec::new();
-    let report = simulate_classes_inner(
-        &classes,
-        net,
-        compute,
-        SimOptions::default(),
-        Some(&mut |e| timeline.push(e)),
-        None,
-        &ObsContext::disabled(),
-    )?;
-    Ok((report, timeline))
-}
-
-/// Simulates pre-built rank programs (used when the caller already
-/// materialized them, e.g. the tracer). Programs are grouped into rank
-/// classes first, so the compute model is still charged once per class.
-pub fn simulate_programs(
-    programs: &[RankProgram],
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-) -> SimReport {
-    expect_sim(try_simulate_programs(programs, net, compute))
-}
-
-/// Fallible form of [`simulate_programs`].
-pub fn try_simulate_programs(
-    programs: &[RankProgram],
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-) -> Result<SimReport, SimError> {
-    let classes = RankClasses::try_from_programs(programs)?;
-    simulate_classes_inner(
-        &classes,
-        net,
-        compute,
-        SimOptions::default(),
-        None,
-        None,
-        &ObsContext::disabled(),
-    )
-}
-
-/// Like [`simulate_programs`], additionally recording the full replay
-/// timeline (one entry per rank per event, in event order).
-pub fn simulate_programs_traced(
-    programs: &[RankProgram],
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-) -> (SimReport, Vec<TimelineEntry>) {
-    expect_sim_traced(try_simulate_programs_traced(programs, net, compute))
-}
-
-/// Fallible form of [`simulate_programs_traced`].
-pub fn try_simulate_programs_traced(
-    programs: &[RankProgram],
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-) -> Result<(SimReport, Vec<TimelineEntry>), SimError> {
-    let classes = RankClasses::try_from_programs(programs)?;
-    let mut timeline = Vec::new();
-    let report = simulate_classes_inner(
-        &classes,
-        net,
-        compute,
-        SimOptions::default(),
-        Some(&mut |e| timeline.push(e)),
-        None,
-        &ObsContext::disabled(),
-    )?;
-    Ok((report, timeline))
-}
-
-/// Runs the deduplicated engine over a prepared class decomposition.
-pub fn try_simulate_classes(
+/// clock, and publishing the deterministic `spmd.critical_path.*` gauges
+/// when metrics are enabled. Attribution is computed serially from the
+/// deterministic simulation state, so the [`SimReport`] is bit-identical
+/// to the unattributed run and the [`CriticalPathReport`] is
+/// thread-invariant.
+pub fn simulate_attributed(
     classes: &RankClasses,
     net: &NetworkModel,
     compute: &mut dyn ComputeModel,
-    opts: SimOptions,
-) -> Result<SimReport, SimError> {
-    simulate_classes_inner(
-        classes,
-        net,
-        compute,
-        opts,
-        None,
-        None,
-        &ObsContext::disabled(),
-    )
-}
-
-/// [`try_simulate_classes`] recording into an explicit observability
-/// context.
-pub fn try_simulate_classes_obs(
-    classes: &RankClasses,
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-    opts: SimOptions,
-    obs: &ObsContext,
-) -> Result<SimReport, SimError> {
-    simulate_classes_inner(classes, net, compute, opts, None, None, obs)
-}
-
-/// [`try_simulate_classes_obs`] with critical-path attribution (see
-/// [`try_simulate_attr_obs`]). Also publishes the deterministic
-/// `spmd.critical_path.*` gauges when metrics are enabled.
-pub fn try_simulate_classes_attr_obs(
-    classes: &RankClasses,
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-    opts: SimOptions,
     obs: &ObsContext,
 ) -> Result<(SimReport, CriticalPathReport), SimError> {
     let mut acc = CriticalPathAccumulator::default();
-    let report = simulate_classes_inner(classes, net, compute, opts, None, Some(&mut acc), obs)?;
+    let report = simulate_classes_inner(classes, net, compute, None, Some(&mut acc), obs)?;
     let critical = acc.finish(classes.nranks(), classes.num_classes() as u32);
     let metrics = obs.metrics();
     if metrics.enabled() {
@@ -727,36 +522,36 @@ pub fn try_simulate_classes_attr_obs(
     Ok((report, critical))
 }
 
+/// [`simulate`] additionally recording the full replay timeline (one entry
+/// per rank per event, in event order). Recording keeps stepping serial.
+pub fn simulate_timeline(
+    classes: &RankClasses,
+    net: &NetworkModel,
+    compute: &mut dyn ComputeModel,
+) -> Result<(SimReport, Vec<TimelineEntry>), SimError> {
+    let mut timeline = Vec::new();
+    let report = simulate_classes_inner(
+        classes,
+        net,
+        compute,
+        Some(&mut |e| timeline.push(e)),
+        None,
+        &ObsContext::disabled(),
+    )?;
+    Ok((report, timeline))
+}
+
 /// The frozen reference engine: walks every rank individually, charging
 /// the compute model per rank, exactly as the engine worked before class
 /// deduplication. Kept public so benches can measure the dedup speedup and
 /// proptests can assert bit-identical reports.
-pub fn simulate_programs_naive(
-    programs: &[RankProgram],
-    net: &NetworkModel,
-    compute: &mut dyn ComputeModel,
-) -> SimReport {
-    expect_sim(try_simulate_programs_naive(programs, net, compute))
-}
-
-/// Fallible form of [`simulate_programs_naive`].
-pub fn try_simulate_programs_naive(
+pub fn simulate_naive(
     programs: &[RankProgram],
     net: &NetworkModel,
     compute: &mut dyn ComputeModel,
 ) -> Result<SimReport, SimError> {
     validate_programs(programs)?;
     Ok(naive_inner(programs, net, compute))
-}
-
-fn expect_sim(res: Result<SimReport, SimError>) -> SimReport {
-    res.expect("SPMD simulation failed")
-}
-
-fn expect_sim_traced(
-    res: Result<(SimReport, Vec<TimelineEntry>), SimError>,
-) -> (SimReport, Vec<TimelineEntry>) {
-    res.expect("SPMD simulation failed")
 }
 
 fn event_kind_name(e: &RankEvent) -> &'static str {
@@ -812,7 +607,6 @@ fn simulate_classes_inner(
     classes: &RankClasses,
     net: &NetworkModel,
     compute: &mut dyn ComputeModel,
-    opts: SimOptions,
     mut record: Option<&mut dyn FnMut(TimelineEntry)>,
     mut attr: Option<&mut CriticalPathAccumulator>,
     obs: &ObsContext,
@@ -850,10 +644,7 @@ fn simulate_classes_inner(
         None => ((0..nranks as u32).collect(), (0..nranks as u32).collect()),
     };
 
-    let par = record.is_none()
-        && opts.parallel
-        && nranks >= opts.min_parallel_ranks
-        && rayon::current_num_threads() > 1;
+    let par = record.is_none() && nranks >= MIN_PARALLEL_RANKS && rayon::current_num_threads() > 1;
 
     // Observability: class/group/event counts are functions of the input
     // alone; whether the chunked path runs depends on the installed thread
@@ -1240,6 +1031,7 @@ fn naive_inner(
 mod tests {
     use super::*;
     use crate::compute::NominalComputeModel;
+    use std::collections::BTreeMap;
     use xtrace_ir::{AddressPattern, BasicBlock, BlockId, Instruction, MemOp, Program, SourceLoc};
 
     /// Test app: rank r computes (r+1) heavy iterations, then allreduces.
@@ -1281,14 +1073,48 @@ mod tests {
         NetworkModel::new(1e-6, 1e9)
     }
 
-    #[test]
-    fn slowest_rank_sets_total() {
-        let report = simulate(
-            &Skewed { iters_scale: 1000 },
-            4,
+    fn try_sim(app: &dyn SpmdApp, nranks: u32) -> Result<SimReport, SimError> {
+        let classes = RankClasses::try_from_app(app, nranks)?;
+        simulate(
+            &classes,
             &net(),
             &mut NominalComputeModel::default(),
-        );
+            &ObsContext::disabled(),
+        )
+    }
+
+    fn sim(app: &dyn SpmdApp, nranks: u32) -> SimReport {
+        try_sim(app, nranks).expect("simulate")
+    }
+
+    fn programs_of(app: &dyn SpmdApp, nranks: u32) -> Vec<RankProgram> {
+        (0..nranks).map(|r| app.rank_program(r, nranks)).collect()
+    }
+
+    fn sim_programs(programs: &[RankProgram], compute: &mut dyn ComputeModel) -> SimReport {
+        let classes = RankClasses::try_from_programs(programs).expect("classes build");
+        simulate(&classes, &net(), compute, &ObsContext::disabled()).expect("simulate")
+    }
+
+    fn naive(programs: &[RankProgram], compute: &mut dyn ComputeModel) -> SimReport {
+        simulate_naive(programs, &net(), compute).expect("naive walk")
+    }
+
+    /// Runs `f` inside a `threads`-wide pool under a fresh recorder,
+    /// returning its result and the recorded counters.
+    fn in_pool<T>(threads: usize, f: impl FnOnce(&ObsContext) -> T) -> (T, BTreeMap<String, u64>) {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        let obs = ObsContext::with_recorder(xtrace_obs::Recorder::new());
+        let out = pool.install(|| f(&obs));
+        (out, obs.snapshot().expect("recording context").counters)
+    }
+
+    #[test]
+    fn slowest_rank_sets_total() {
+        let report = sim(&Skewed { iters_scale: 1000 }, 4);
         let slowest = report.ranks[3].compute_s;
         let coll = net().allreduce(4, 8);
         assert!((report.total_seconds - (slowest + coll)).abs() < 1e-12);
@@ -1297,12 +1123,7 @@ mod tests {
 
     #[test]
     fn fast_ranks_accumulate_wait_time() {
-        let report = simulate(
-            &Skewed { iters_scale: 1000 },
-            4,
-            &net(),
-            &mut NominalComputeModel::default(),
-        );
+        let report = sim(&Skewed { iters_scale: 1000 }, 4);
         // Rank 0 computes 1/4 of rank 3's time and waits the rest.
         assert!(report.ranks[0].comm_s > report.ranks[3].comm_s);
         // Everyone finishes the allreduce at the same instant.
@@ -1313,12 +1134,7 @@ mod tests {
 
     #[test]
     fn imbalance_reflects_skew() {
-        let report = simulate(
-            &Skewed { iters_scale: 100 },
-            4,
-            &net(),
-            &mut NominalComputeModel::default(),
-        );
+        let report = sim(&Skewed { iters_scale: 100 }, 4);
         // compute times 1:2:3:4, mean 2.5, max 4 -> 1.6.
         assert!((report.compute_imbalance() - 1.6).abs() < 1e-9);
     }
@@ -1360,7 +1176,7 @@ mod tests {
 
     #[test]
     fn balanced_ring_has_equal_finish_times() {
-        let report = simulate(&Ring, 8, &net(), &mut NominalComputeModel::default());
+        let report = sim(&Ring, 8);
         let f0 = report.ranks[0].finish_s;
         for r in &report.ranks {
             assert!((r.finish_s - f0).abs() < 1e-15);
@@ -1371,12 +1187,7 @@ mod tests {
 
     #[test]
     fn single_rank_runs_without_comm_cost() {
-        let report = simulate(
-            &Skewed { iters_scale: 10 },
-            1,
-            &net(),
-            &mut NominalComputeModel::default(),
-        );
+        let report = sim(&Skewed { iters_scale: 10 }, 1);
         assert!(
             report.ranks[0].comm_s.abs() < 1e-15,
             "allreduce of 1 is free"
@@ -1409,34 +1220,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "SPMD violation")]
-    fn misaligned_ranks_panic() {
-        simulate(&Misaligned, 2, &net(), &mut NominalComputeModel::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one rank")]
-    fn zero_ranks_panics() {
-        simulate(&Ring, 0, &net(), &mut NominalComputeModel::default());
-    }
-
-    #[test]
     fn misaligned_ranks_report_typed_errors() {
-        let err = try_simulate(&Misaligned, 2, &net(), &mut NominalComputeModel::default())
-            .expect_err("misaligned ranks must fail");
+        let err = try_sim(&Misaligned, 2).expect_err("misaligned ranks must fail");
         assert!(matches!(err, SimError::EventKindMismatch { rank: 1, .. }));
         assert!(err.to_string().contains("SPMD violation"));
-        let err = try_simulate(&Ring, 0, &net(), &mut NominalComputeModel::default())
-            .expect_err("zero ranks must fail");
+        let err = try_sim(&Ring, 0).expect_err("zero ranks must fail");
         assert_eq!(err, SimError::NoRanks);
+        assert!(err.to_string().contains("at least one rank"));
     }
 
     #[test]
     fn timeline_covers_every_rank_event_in_order() {
         let app = Skewed { iters_scale: 100 };
-        let programs: Vec<_> = (0..4).map(|r| app.rank_program(r, 4)).collect();
+        let programs = programs_of(&app, 4);
+        let classes = RankClasses::try_from_programs(&programs).expect("classes build");
         let (report, timeline) =
-            simulate_programs_traced(&programs, &net(), &mut NominalComputeModel::default());
+            simulate_timeline(&classes, &net(), &mut NominalComputeModel::default())
+                .expect("simulate");
         // 4 ranks x 2 events.
         assert_eq!(timeline.len(), 8);
         for e in &timeline {
@@ -1451,16 +1251,16 @@ mod tests {
             assert!((mine[1].start_s - mine[0].end_s).abs() < 1e-12);
         }
         // The traced report matches the untraced one.
-        let plain = simulate_programs(&programs, &net(), &mut NominalComputeModel::default());
+        let plain = sim_programs(&programs, &mut NominalComputeModel::default());
         assert_eq!(plain, report);
     }
 
     #[test]
     fn timeline_serializes() {
-        let app = Ring;
-        let programs: Vec<_> = (0..2).map(|r| app.rank_program(r, 2)).collect();
+        let classes = RankClasses::try_from_app(&Ring, 2).expect("classes build");
         let (_, timeline) =
-            simulate_programs_traced(&programs, &net(), &mut NominalComputeModel::default());
+            simulate_timeline(&classes, &net(), &mut NominalComputeModel::default())
+                .expect("simulate");
         let json = serde_json::to_string(&timeline).unwrap();
         let back: Vec<TimelineEntry> = serde_json::from_str(&json).unwrap();
         assert_eq!(back.len(), timeline.len());
@@ -1469,8 +1269,7 @@ mod tests {
     #[test]
     fn ring_collapses_to_one_class() {
         // Identical programs, differing only in Exchange neighbors.
-        let programs: Vec<_> = (0..16).map(|r| Ring.rank_program(r, 16)).collect();
-        let classes = RankClasses::try_from_programs(&programs).unwrap();
+        let classes = RankClasses::try_from_programs(&programs_of(&Ring, 16)).unwrap();
         assert_eq!(classes.num_classes(), 1);
         assert_eq!(classes.nranks(), 16);
     }
@@ -1478,25 +1277,21 @@ mod tests {
     #[test]
     fn skewed_ranks_stay_distinct_classes() {
         let app = Skewed { iters_scale: 10 };
-        let programs: Vec<_> = (0..4).map(|r| app.rank_program(r, 4)).collect();
-        let classes = RankClasses::try_from_programs(&programs).unwrap();
+        let classes = RankClasses::try_from_programs(&programs_of(&app, 4)).unwrap();
         assert_eq!(classes.num_classes(), 4, "distinct trip counts");
     }
 
     #[test]
     fn dedup_report_is_bit_identical_to_naive() {
         for nranks in [1u32, 2, 5, 8, 16] {
-            let programs: Vec<_> = (0..nranks).map(|r| Ring.rank_program(r, nranks)).collect();
-            let dedup = simulate_programs(&programs, &net(), &mut NominalComputeModel::default());
-            let naive =
-                simulate_programs_naive(&programs, &net(), &mut NominalComputeModel::default());
-            assert_eq!(dedup, naive, "nranks={nranks}");
+            let programs = programs_of(&Ring, nranks);
+            let dedup = sim_programs(&programs, &mut NominalComputeModel::default());
+            let reference = naive(&programs, &mut NominalComputeModel::default());
+            assert_eq!(dedup, reference, "nranks={nranks}");
         }
-        let app = Skewed { iters_scale: 100 };
-        let programs: Vec<_> = (0..8).map(|r| app.rank_program(r, 8)).collect();
-        let dedup = simulate_programs(&programs, &net(), &mut NominalComputeModel::default());
-        let naive = simulate_programs_naive(&programs, &net(), &mut NominalComputeModel::default());
-        assert_eq!(dedup, naive);
+        let programs = programs_of(&Skewed { iters_scale: 100 }, 8);
+        let dedup = sim_programs(&programs, &mut NominalComputeModel::default());
+        assert_eq!(dedup, naive(&programs, &mut NominalComputeModel::default()));
     }
 
     /// App with a rank-class override: one master, workers all alike.
@@ -1529,68 +1324,41 @@ mod tests {
     fn app_class_keys_match_materialized_grouping() {
         let fast = RankClasses::try_from_app(&ClassedRing, 12).unwrap();
         assert_eq!(fast.num_classes(), 2);
-        let programs: Vec<_> = (0..12).map(|r| ClassedRing.rank_program(r, 12)).collect();
+        let programs = programs_of(&ClassedRing, 12);
         let slow = RankClasses::try_from_programs(&programs).unwrap();
         assert_eq!(fast.assignment(), slow.assignment());
-        let a = simulate(
-            &ClassedRing,
-            12,
-            &net(),
-            &mut NominalComputeModel::default(),
-        );
-        let b = simulate_programs_naive(&programs, &net(), &mut NominalComputeModel::default());
+        let a = sim(&ClassedRing, 12);
+        let b = naive(&programs, &mut NominalComputeModel::default());
         assert_eq!(a, b);
     }
 
     /// A rank-dependent model must opt out of dedup and still match naive.
     #[test]
     fn keyless_models_are_charged_per_rank() {
-        let programs: Vec<_> = (0..6).map(|r| Ring.rank_program(r, 6)).collect();
+        let programs = programs_of(&Ring, 6);
         let model = |rank: u32, _: &Program, _: BlockId, inv: u64| {
             (f64::from(rank) + 1.0) * 1e-6 * inv as f64
         };
-        let dedup = simulate_programs(&programs, &net(), &mut { model });
-        let naive = simulate_programs_naive(&programs, &net(), &mut { model });
-        assert_eq!(dedup, naive);
+        let dedup = sim_programs(&programs, &mut { model });
+        assert_eq!(dedup, naive(&programs, &mut { model }));
         // Rank-dependent charges really did land per rank.
         assert!(dedup.ranks[5].compute_s > dedup.ranks[0].compute_s);
     }
 
+    /// At the engine's rank threshold a 4-thread pool takes the chunked
+    /// path and a 1-thread pool the serial one; the reports are identical.
     #[test]
     fn forced_parallel_stepping_is_bit_identical() {
-        // min_parallel_ranks=1 forces the chunked path even on small jobs;
-        // a 4-thread pool makes the stub actually spawn workers.
         let app = Skewed { iters_scale: 100 };
-        let nranks = 16u32;
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .expect("pool");
-        let forced = pool.install(|| {
-            try_simulate_with(
-                &app,
-                nranks,
-                &net(),
-                &mut NominalComputeModel::default(),
-                SimOptions {
-                    parallel: true,
-                    min_parallel_ranks: 1,
-                },
-            )
-            .expect("simulate")
-        });
-        let serial = try_simulate_with(
-            &app,
-            nranks,
-            &net(),
-            &mut NominalComputeModel::default(),
-            SimOptions {
-                parallel: false,
-                min_parallel_ranks: 1,
-            },
-        )
-        .expect("simulate");
-        assert_eq!(forced, serial);
+        let classes = RankClasses::try_from_app(&app, 256).expect("classes build");
+        let run = |obs: &ObsContext| {
+            simulate(&classes, &net(), &mut NominalComputeModel::default(), obs).expect("simulate")
+        };
+        let (parallel, par_counters) = in_pool(4, run);
+        let (serial, serial_counters) = in_pool(1, run);
+        assert_eq!(par_counters.get("sched.spmd.parallel_sims"), Some(&1));
+        assert_eq!(serial_counters.get("sched.spmd.serial_sims"), Some(&1));
+        assert_eq!(parallel, serial);
     }
 
     /// Hub-and-spoke: rank 0 exchanges with every worker (and pays the
@@ -1635,26 +1403,16 @@ mod tests {
         }
     }
 
-    fn attr(
-        app: &dyn SpmdApp,
-        nranks: u32,
-        opts: SimOptions,
-    ) -> (SimReport, crate::critical::CriticalPathReport) {
-        try_simulate_attr_obs(
-            app,
-            nranks,
-            &net(),
-            &mut NominalComputeModel::default(),
-            opts,
-            &ObsContext::disabled(),
-        )
-        .expect("simulate")
+    fn attr(app: &dyn SpmdApp, nranks: u32, obs: &ObsContext) -> (SimReport, CriticalPathReport) {
+        let classes = RankClasses::try_from_app(app, nranks).expect("classes build");
+        simulate_attributed(&classes, &net(), &mut NominalComputeModel::default(), obs)
+            .expect("simulate")
     }
 
     #[test]
     fn attribution_decomposes_the_skewed_path() {
         let app = Skewed { iters_scale: 1000 };
-        let (report, critical) = attr(&app, 4, SimOptions::default());
+        let (report, critical) = attr(&app, 4, &ObsContext::disabled());
         assert_eq!(critical.nranks, 4);
         assert_eq!(critical.classes, 4);
         assert_eq!(critical.share_sum_bp(), 10_000);
@@ -1678,7 +1436,7 @@ mod tests {
 
     #[test]
     fn attribution_records_blocking_edges_on_path_waits() {
-        let (report, critical) = attr(&Hub, 8, SimOptions::default());
+        let (report, critical) = attr(&Hub, 8, &ObsContext::disabled());
         assert_eq!(critical.classes, 2);
         assert_eq!(critical.share_sum_bp(), 10_000);
         // The master (class 0) waits for the slower workers (class 1),
@@ -1703,43 +1461,32 @@ mod tests {
     #[test]
     fn attribution_does_not_perturb_the_report() {
         let app = Skewed { iters_scale: 500 };
-        let plain =
-            try_simulate(&app, 8, &net(), &mut NominalComputeModel::default()).expect("simulate");
-        let (attributed, _) = attr(&app, 8, SimOptions::default());
+        let plain = sim(&app, 8);
+        let (attributed, _) = attr(&app, 8, &ObsContext::disabled());
         assert_eq!(plain, attributed);
     }
 
     #[test]
     fn attribution_is_identical_under_forced_parallel_stepping() {
         let app = Skewed { iters_scale: 100 };
-        let opts = SimOptions {
-            parallel: true,
-            min_parallel_ranks: 1,
-        };
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .expect("pool");
-        let (forced_report, forced_critical) = pool.install(|| attr(&app, 16, opts));
-        let serial = SimOptions {
-            parallel: false,
-            min_parallel_ranks: 1,
-        };
-        let (serial_report, serial_critical) = attr(&app, 16, serial);
-        assert_eq!(forced_report, serial_report);
-        assert_eq!(forced_critical, serial_critical);
+        let ((par_report, par_critical), par_counters) = in_pool(4, |obs| attr(&app, 256, obs));
+        let ((serial_report, serial_critical), serial_counters) =
+            in_pool(1, |obs| attr(&app, 256, obs));
+        assert_eq!(par_counters.get("sched.spmd.parallel_sims"), Some(&1));
+        assert_eq!(serial_counters.get("sched.spmd.serial_sims"), Some(&1));
+        assert_eq!(par_report, serial_report);
+        assert_eq!(par_critical, serial_critical);
     }
 
     #[test]
     fn bad_partner_list_is_rejected() {
-        let programs: Vec<_> = (0..4).map(|r| Ring.rank_program(r, 4)).collect();
-        let mut classes = RankClasses::try_from_programs(&programs).unwrap();
+        let mut classes = RankClasses::try_from_programs(&programs_of(&Ring, 4)).unwrap();
         classes.partners[2][0] = vec![9];
-        let err = try_simulate_classes(
+        let err = simulate(
             &classes,
             &net(),
             &mut NominalComputeModel::default(),
-            SimOptions::default(),
+            &ObsContext::disabled(),
         )
         .expect_err("out-of-range neighbor");
         assert!(matches!(

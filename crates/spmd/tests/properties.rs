@@ -2,10 +2,25 @@
 
 use proptest::prelude::*;
 use xtrace_ir::{AddressPattern, BasicBlock, BlockId, Instruction, MemOp, Program, SourceLoc};
+use xtrace_obs::{ObsContext, Recorder};
 use xtrace_spmd::{
-    simulate, try_simulate, try_simulate_classes, try_simulate_programs_naive, NetworkModel,
-    NominalComputeModel, RankClasses, RankEvent, RankProgram, SimOptions, SpmdApp,
+    simulate, simulate_naive, NetworkModel, NominalComputeModel, RankClasses, RankEvent,
+    RankProgram, SimError, SimReport, SpmdApp,
 };
+
+fn try_sim(app: &dyn SpmdApp, nranks: u32, net: &NetworkModel) -> Result<SimReport, SimError> {
+    let classes = RankClasses::try_from_app(app, nranks)?;
+    simulate(
+        &classes,
+        net,
+        &mut NominalComputeModel::default(),
+        &ObsContext::disabled(),
+    )
+}
+
+fn sim(app: &dyn SpmdApp, nranks: u32, net: &NetworkModel) -> SimReport {
+    try_sim(app, nranks, net).expect("simulate")
+}
 
 /// App where rank r's compute weight is `weights[r]`, ending in a barrier.
 struct Weighted {
@@ -124,22 +139,21 @@ proptest! {
         let programs: Vec<RankProgram> =
             (0..nranks).map(|r| keyless.rank_program(r, nranks)).collect();
         let naive =
-            try_simulate_programs_naive(&programs, &net, &mut NominalComputeModel::default())
+            simulate_naive(&programs, &net, &mut NominalComputeModel::default())
                 .expect("naive walk");
-        let structural = try_simulate(&keyless, nranks, &net, &mut NominalComputeModel::default())
-            .expect("structural dedup");
-        let fast = try_simulate(&keyed, nranks, &net, &mut NominalComputeModel::default())
-            .expect("keyed dedup");
+        let structural = try_sim(&keyless, nranks, &net).expect("structural dedup");
+        let fast = try_sim(&keyed, nranks, &net).expect("keyed dedup");
         prop_assert_eq!(&structural, &naive);
         prop_assert_eq!(&fast, &naive);
     }
 
     /// Parallel bulk-synchronous stepping reassembles chunks in rank order:
-    /// the report is bit-identical at any thread count, even when forced on
-    /// below the usual rank threshold.
+    /// at the engine's rank threshold a 4-thread pool takes the chunked
+    /// path, a 1-thread pool the serial one, and the reports are
+    /// bit-identical.
     #[test]
     fn parallel_stepping_is_thread_invariant(
-        nranks in 2u32..24,
+        nranks in 256u32..1024,
         split_seed in 0u32..1024,
         master_iters in 1u64..100_000,
         worker_iters in 1u64..100_000,
@@ -152,27 +166,21 @@ proptest! {
         let app = SplitApp { split, master_iters, worker_iters, bytes, with_keys: true };
         let classes = RankClasses::try_from_app(&app, nranks).expect("classes build");
 
-        let serial = try_simulate_classes(
-            &classes,
-            &net,
-            &mut NominalComputeModel::default(),
-            SimOptions::default().with_parallel(false).with_min_parallel_ranks(1),
-        )
-        .expect("serial stepping");
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .expect("pool");
-        let parallel = pool
-            .install(|| {
-                try_simulate_classes(
-                    &classes,
-                    &net,
-                    &mut NominalComputeModel::default(),
-                    SimOptions::default().with_parallel(true).with_min_parallel_ranks(1),
-                )
-            })
-            .expect("parallel stepping");
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let obs = ObsContext::with_recorder(Recorder::new());
+            let report = pool
+                .install(|| simulate(&classes, &net, &mut NominalComputeModel::default(), &obs))
+                .expect("stepping");
+            (report, obs.snapshot().expect("recording context").counters)
+        };
+        let (serial, serial_counters) = run(1);
+        let (parallel, par_counters) = run(4);
+        prop_assert_eq!(serial_counters.get("sched.spmd.serial_sims"), Some(&1));
+        prop_assert_eq!(par_counters.get("sched.spmd.parallel_sims"), Some(&1));
         prop_assert_eq!(&parallel, &serial);
     }
 }
@@ -186,12 +194,7 @@ proptest! {
     ) {
         let app = Weighted { weights: weights.clone() };
         let net = NetworkModel::new(1e-6, 1e9);
-        let report = simulate(
-            &app,
-            weights.len() as u32,
-            &net,
-            &mut NominalComputeModel::default(),
-        );
+        let report = sim(&app, weights.len() as u32, &net);
         let max_compute = report
             .ranks
             .iter()
@@ -213,12 +216,7 @@ proptest! {
     ) {
         let app = Weighted { weights: weights.clone() };
         let net = NetworkModel::new(1e-6, 1e9);
-        let report = simulate(
-            &app,
-            weights.len() as u32,
-            &net,
-            &mut NominalComputeModel::default(),
-        );
+        let report = sim(&app, weights.len() as u32, &net);
         let longest = report.most_computational_rank() as usize;
         let max = *weights.iter().max().unwrap();
         prop_assert_eq!(weights[longest], max);
@@ -262,8 +260,8 @@ proptest! {
     ) {
         let app = Weighted { weights: weights.clone() };
         let net = NetworkModel::new(1e-6, 1e9);
-        let a = simulate(&app, weights.len() as u32, &net, &mut NominalComputeModel::default());
-        let b = simulate(&app, weights.len() as u32, &net, &mut NominalComputeModel::default());
+        let a = sim(&app, weights.len() as u32, &net);
+        let b = sim(&app, weights.len() as u32, &net);
         prop_assert_eq!(a, b);
     }
 }

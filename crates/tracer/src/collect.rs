@@ -26,7 +26,7 @@ use xtrace_cache::{CacheHierarchy, LevelCounts};
 use xtrace_ir::{AccessRing, AccessStream, BlockId, InstrKind, MemOp};
 use xtrace_machine::MachineProfile;
 use xtrace_obs::ObsContext;
-use xtrace_spmd::{MpiProfiler, RankEvent, RankProgram, SpmdApp};
+use xtrace_spmd::{RankEvent, RankProgram, SpmdApp};
 
 use crate::memo::{block_sim_key, SigMemo};
 use crate::sig::{AppSignature, BlockRecord, FeatureVector, InstrRecord, TaskTrace};
@@ -119,7 +119,7 @@ pub fn collect_signature_with_obs(
             &[("nranks", f64::from(nranks))],
         );
     }
-    let comm = MpiProfiler::default().profile_obs(app, nranks, &machine.net, obs);
+    let comm = xtrace_spmd::profile(app, nranks, &machine.net, obs);
     let trace =
         collect_task_trace_memo_obs(app, comm.longest_rank, nranks, machine, cfg, None, obs);
     if journal.enabled() {
@@ -171,7 +171,7 @@ pub fn collect_signature_memo_obs(
             &[("nranks", f64::from(nranks))],
         );
     }
-    let comm = MpiProfiler::default().profile_obs(app, nranks, &machine.net, obs);
+    let comm = xtrace_spmd::profile(app, nranks, &machine.net, obs);
     let trace = collect_task_trace_memo_obs(
         app,
         comm.longest_rank,

@@ -9,10 +9,12 @@
 //!
 //! Run with: `cargo run --release --example specfem_scaling`
 
-use xtrace::apps::{ProxyApp, SpecfemProxy};
+use xtrace::apps::{profiling_net, SpecfemProxy};
 use xtrace::extrap::{element_errors, extrapolate_signature, summarize, ExtrapolationConfig};
 use xtrace::machine::presets;
+use xtrace::obs::ObsContext;
 use xtrace::psins::{ground_truth, relative_error, try_predict_runtime};
+use xtrace::spmd::profile;
 use xtrace::tracer::{collect_signature_with, TracerConfig};
 
 fn main() {
@@ -46,11 +48,11 @@ fn main() {
 
     let collected_sig = collect_signature_with(&app, target, &machine, &tracer_cfg);
     let collected = collected_sig.longest_task();
-    let comm = app.comm_profile(target);
+    let comm = profile(&app, target, &profiling_net(), &ObsContext::disabled());
 
     let pred_e = try_predict_runtime(&extrapolated, &comm, &machine).unwrap();
     let pred_c = try_predict_runtime(collected, &comm, &machine).unwrap();
-    let measured = ground_truth(&app, target, &machine, &tracer_cfg);
+    let measured = ground_truth(&app, target, &machine, &tracer_cfg, &ObsContext::disabled());
 
     println!(
         "{:<14} {:>6} {:>8} {:>14} {:>9}",

@@ -6,10 +6,12 @@
 //!
 //! Run with: `cargo run --release --example whole_app_replay`
 
-use xtrace::apps::{ProxyApp, SpecfemProxy};
+use xtrace::apps::{profiling_net, SpecfemProxy};
 use xtrace::extrap::{synthesize_full_signature, ExtrapolationConfig};
 use xtrace::machine::presets;
+use xtrace::obs::ObsContext;
 use xtrace::psins::{ground_truth_application, try_predict_energy, try_replay_groups};
+use xtrace::spmd::profile;
 use xtrace::tracer::{collect_ranks, TracerConfig};
 
 fn main() {
@@ -49,7 +51,7 @@ fn main() {
         .map(|g| (g.trace.clone(), g.ranks))
         .collect();
     let replay = try_replay_groups(&app, target, &groups, &machine).unwrap();
-    let exact = ground_truth_application(&app, target, &machine, &tracer);
+    let exact = ground_truth_application(&app, target, &machine, &tracer).unwrap();
     println!(
         "\nreplay prediction: {:.4} s  (exact whole-app measurement: {:.4} s)",
         replay.total_seconds, exact.total_seconds
@@ -62,7 +64,7 @@ fn main() {
 
     // 4. Energy budget of the master task at scale, from the same
     //    synthetic signature.
-    let comm = app.comm_profile(target);
+    let comm = profile(&app, target, &profiling_net(), &ObsContext::disabled());
     let energy = try_predict_energy(sig.longest(), &comm, &machine).unwrap();
     println!(
         "\nmaster-task energy at {target} cores: {:.2} J total ({:.2} J memory, \

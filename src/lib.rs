@@ -37,10 +37,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use xtrace::apps::{ProxyApp, SpecfemProxy};
+//! use xtrace::apps::{profiling_net, SpecfemProxy};
 //! use xtrace::extrap::{ExtrapolationConfig, extrapolate_signature};
 //! use xtrace::machine::presets;
+//! use xtrace::obs::ObsContext;
 //! use xtrace::psins::try_predict_runtime;
+//! use xtrace::spmd::profile;
 //! use xtrace::tracer::collect_signature;
 //!
 //! // A small problem so the doctest runs quickly.
@@ -58,8 +60,10 @@
 //! let cfg = ExtrapolationConfig::default();
 //! let extrapolated = extrapolate_signature(&training, 128, &cfg).unwrap();
 //!
-//! // 3. Predict full-scale runtime from the synthetic trace.
-//! let prediction = try_predict_runtime(&extrapolated, &app.comm_profile(128), &machine).unwrap();
+//! // 3. Profile communication at 128 cores and predict full-scale runtime
+//! //    from the synthetic trace.
+//! let comm = profile(&app, 128, &profiling_net(), &ObsContext::disabled());
+//! let prediction = try_predict_runtime(&extrapolated, &comm, &machine).unwrap();
 //! assert!(prediction.total_seconds > 0.0);
 //! ```
 

@@ -2,15 +2,17 @@
 //! weak scaling, input-parameter series, full-signature synthesis,
 //! whole-application replay, and energy prediction.
 
-use xtrace::apps::{ProxyApp, ScalingMode, SpecfemProxy, StencilProxy};
+use xtrace::apps::{profiling_net, ScalingMode, SpecfemProxy, StencilProxy};
 use xtrace::extrap::{
     extrapolate_series, extrapolate_signature, synthesize_full_signature, ExtrapolationConfig,
 };
 use xtrace::machine::{presets, MachineProfile};
+use xtrace::obs::ObsContext;
 use xtrace::psins::{
     ground_truth_application, relative_error, try_predict_energy, try_predict_runtime,
     try_replay_groups,
 };
+use xtrace::spmd::profile;
 use xtrace::tracer::{collect_ranks, collect_signature_with, TracerConfig};
 
 fn small_specfem() -> SpecfemProxy {
@@ -39,7 +41,8 @@ fn weak_scaling_extrapolates_nearly_perfectly() {
         .collect();
     let ex = extrapolate_signature(&training, 384, &ExtrapolationConfig::default()).unwrap();
     let coll = collect_signature_with(&app, 384, &machine, &cfg);
-    let pe = try_predict_runtime(&ex, &app.comm_profile(384), &machine).unwrap();
+    let comm = profile(&app, 384, &profiling_net(), &ObsContext::disabled());
+    let pe = try_predict_runtime(&ex, &comm, &machine).unwrap();
     let pc = try_predict_runtime(coll.longest_task(), &coll.comm, &machine).unwrap();
     let gap = relative_error(pe.total_seconds, pc.total_seconds);
     assert!(gap < 0.03, "weak-scaling gap {gap}");
@@ -100,7 +103,7 @@ fn full_signature_covers_population_and_replays() {
         .map(|g| (g.trace.clone(), g.ranks))
         .collect();
     let replay = try_replay_groups(&app, 192, &groups, &machine).unwrap();
-    let exact = ground_truth_application(&app, 192, &machine, &cfg);
+    let exact = ground_truth_application(&app, 192, &machine, &cfg).unwrap();
     let err = relative_error(replay.total_seconds, exact.total_seconds);
     assert!(
         err < 0.30,
@@ -127,7 +130,7 @@ fn energy_extrapolates_with_runtime() {
         .collect();
     let ex = extrapolate_signature(&training, 384, &ExtrapolationConfig::default()).unwrap();
     let coll = collect_signature_with(&app, 384, &machine, &cfg);
-    let comm = app.comm_profile(384);
+    let comm = profile(&app, 384, &profiling_net(), &ObsContext::disabled());
     let e_ex = try_predict_energy(&ex, &comm, &machine).unwrap();
     let e_coll = try_predict_energy(coll.longest_task(), &coll.comm, &machine).unwrap();
     let gap = relative_error(e_ex.total_joules, e_coll.total_joules);

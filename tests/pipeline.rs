@@ -1,15 +1,16 @@
 //! End-to-end pipeline integration: trace → fit → extrapolate → predict,
 //! across crates, at laptop scale.
 
-use xtrace::apps::{ProxyApp, SpecfemProxy, StencilProxy, Uh3dProxy};
+use xtrace::apps::{profiling_net, SpecfemProxy, StencilProxy, Uh3dProxy};
 use xtrace::core::{Pipeline, PipelineConfig};
 use xtrace::extrap::{
     element_errors, extrapolate_signature, extrapolate_signature_detailed, summarize,
     CanonicalForm, ExtrapolationConfig,
 };
 use xtrace::machine::presets;
+use xtrace::obs::ObsContext;
 use xtrace::psins::{ground_truth, relative_error, try_predict_runtime};
-use xtrace::spmd::SpmdApp;
+use xtrace::spmd::{profile, SpmdApp};
 use xtrace::tracer::{collect_signature_with, TracerConfig};
 
 fn small_specfem() -> SpecfemProxy {
@@ -38,7 +39,7 @@ fn specfem_pipeline_extrapolated_matches_collected_prediction() {
         extrapolate_signature(&training, 384, &ExtrapolationConfig::default()).unwrap();
 
     let collected = collect_signature_with(&app, 384, &machine, &cfg);
-    let comm = app.comm_profile(384);
+    let comm = profile(&app, 384, &profiling_net(), &ObsContext::disabled());
     let pe = try_predict_runtime(&extrapolated, &comm, &machine).unwrap();
     let pc = try_predict_runtime(collected.longest_task(), &collected.comm, &machine).unwrap();
 
@@ -58,7 +59,7 @@ fn specfem_prediction_tracks_measured_runtime() {
     let cfg = TracerConfig::fast();
     let sig = collect_signature_with(&app, 96, &machine, &cfg);
     let pred = try_predict_runtime(sig.longest_task(), &sig.comm, &machine).unwrap();
-    let measured = ground_truth(&app, 96, &machine, &cfg);
+    let measured = ground_truth(&app, 96, &machine, &cfg, &ObsContext::disabled());
     let err = relative_error(pred.total_seconds, measured.total_seconds);
     assert!(
         err < 0.20,
@@ -160,7 +161,8 @@ fn engine_matches_manual_composition_bit_for_bit() {
         .collect();
     let extrapolated =
         extrapolate_signature(&training, 384, &ExtrapolationConfig::default()).unwrap();
-    let manual = try_predict_runtime(&extrapolated, &app.comm_profile(384), &machine).unwrap();
+    let comm = profile(&app, 384, &profiling_net(), &ObsContext::disabled());
+    let manual = try_predict_runtime(&extrapolated, &comm, &machine).unwrap();
 
     assert_eq!(report.extrapolated, extrapolated);
     assert_eq!(report.prediction.total_seconds, manual.total_seconds);
@@ -182,7 +184,8 @@ fn whole_pipeline_is_deterministic() {
             })
             .collect();
         let ex = extrapolate_signature(&training, 32, &ExtrapolationConfig::default()).unwrap();
-        try_predict_runtime(&ex, &app.comm_profile(32), &machine)
+        let comm = profile(&app, 32, &profiling_net(), &ObsContext::disabled());
+        try_predict_runtime(&ex, &comm, &machine)
             .unwrap()
             .total_seconds
     };

@@ -233,8 +233,17 @@ fn sweep_returns_one_row_per_target() {
     let body = r#"{"app":"stencil3d","machine":"opteron","training":[2,4,8],"target":32,
                    "targets":[32,64],"fast_tracer":true,"validate":false}"#;
     let (status, _, text) = http(server.addr, "POST", "/v1/sweep", Some(body));
+    // Targets keep request order: a descending list comes back descending.
+    let body = r#"{"app":"stencil3d","machine":"opteron","training":[2,4,8],"target":64,
+                   "targets":[64,32],"fast_tracer":true,"validate":false}"#;
+    let (desc_status, _, desc_text) = http(server.addr, "POST", "/v1/sweep", Some(body));
     server.stop();
     assert_eq!(status, 200, "body: {text}");
+    assert_eq!(desc_status, 200, "body: {desc_text}");
+    let descending: xtrace::serve::ServeSweepResponseV1 = serde_json::from_str(&desc_text).unwrap();
+    assert_eq!(descending.targets, vec![64, 32]);
+    let row_targets: Vec<u32> = descending.rows.iter().map(|r| r.target).collect();
+    assert_eq!(row_targets, vec![64, 32]);
     let response: xtrace::serve::ServeSweepResponseV1 = serde_json::from_str(&text).unwrap();
     assert_eq!(response.targets, vec![32, 64]);
     assert_eq!(response.rows.len(), 2);
