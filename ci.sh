@@ -12,8 +12,8 @@ echo "== build (release) =="
 cargo build --workspace --release --offline
 
 echo "== tests =="
-# Includes the CLI metrics-key and wide-collection checks
-# (crates/cli/tests/cli.rs).
+# Includes the CLI metrics-key, wide-collection and serve SIGTERM-drain
+# checks (crates/cli/tests/cli.rs).
 cargo test -q --workspace --offline
 
 echo "== doc-tests =="
@@ -81,106 +81,5 @@ echo "== concurrent-engine smoke (two sessions, one process, golden diff) =="
 # stay bit-identical to the single-session goldens (prediction and
 # masked metrics) — scoped observability contexts, no counter bleed.
 cargo run -q --release --offline --example concurrent_smoke
-
-echo "== serve smoke (daemon endpoints, coalescing, 429, SIGTERM drain) =="
-# Start the daemon on an ephemeral port, hit all four endpoints, check
-# that two concurrent identical predicts coalesce onto one cold pipeline
-# run with byte-identical predictions equal to the committed golden,
-# force a 429 with a one-worker/one-slot instance, then shut both down
-# with SIGTERM and require a clean exit.
-target/release/xtrace serve --addr 127.0.0.1:0 --workers 2 \
-    --store "$tmp/serve-store" >"$tmp/serve.out" 2>"$tmp/serve.err" &
-serve_pid=$!
-target/release/xtrace serve --addr 127.0.0.1:0 --workers 1 --max-queue 1 \
-    --store "$tmp/serve-tiny-store" >"$tmp/serve-tiny.out" 2>/dev/null &
-serve_tiny_pid=$!
-trap 'kill "$serve_pid" "$serve_tiny_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-for _ in $(seq 100); do
-    grep -q '^listening on ' "$tmp/serve.out" 2>/dev/null \
-        && grep -q '^listening on ' "$tmp/serve-tiny.out" 2>/dev/null && break
-    sleep 0.1
-done
-python3 - "$tmp/serve.out" "$tmp/serve-tiny.out" <<'PY'
-import http.client, json, sys, threading
-def addr(path):
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("listening on "):
-                host, port = line.split()[-1].rsplit(":", 1)
-                return host, int(port)
-    sys.exit(f"{path}: no 'listening on' line")
-BODY = json.dumps({"app": "specfem3d", "machine": "cray-xt5",
-                   "training": [6, 24, 96], "target": 384, "scale": "tiny",
-                   "fast_tracer": True, "validate": False})
-def request(hostport, method, path, body=None):
-    conn = http.client.HTTPConnection(*hostport, timeout=300)
-    conn.request(method, path, body=body,
-                 headers={"Content-Type": "application/json"} if body else {})
-    resp = conn.getresponse()
-    text = resp.read().decode()
-    status, headers = resp.status, dict(resp.getheaders())
-    conn.close()
-    return status, headers, text
-
-main = addr(sys.argv[1])
-status, _, body = request(main, "GET", "/v1/healthz")
-assert (status, body) == (200, '{"api_version":1,"status":"ok"}'), (status, body)
-
-# Two concurrent identical predicts: one cold pipeline, same bits.
-results = [None, None]
-def predict(i):
-    results[i] = request(main, "POST", "/v1/predict", BODY)
-threads = [threading.Thread(target=predict, args=(i,)) for i in range(2)]
-for t in threads: t.start()
-for t in threads: t.join()
-responses = []
-for status, _, text in results:
-    assert status == 200, (status, text[:200])
-    responses.append(json.loads(text))
-assert sum(r["coalesced"] for r in responses) == 1, \
-    f"expected exactly one coalesced follower: {[r['coalesced'] for r in responses]}"
-preds = [json.dumps(r["prediction"], sort_keys=True) for r in responses]
-assert preds[0] == preds[1], "concurrent predictions diverged"
-golden = json.load(open("tests/golden/specfem_tiny_prediction.json"))
-assert preds[0] == json.dumps(golden, sort_keys=True), \
-    "served prediction diverged from tests/golden/specfem_tiny_prediction.json"
-
-status, _, text = request(main, "POST", "/v1/sweep", json.dumps(
-    {"app": "specfem3d", "machine": "cray-xt5", "training": [6, 24, 96],
-     "target": 384, "targets": [192, 384], "scale": "tiny",
-     "fast_tracer": True, "validate": False}))
-assert status == 200, (status, text[:200])
-sweep = json.loads(text)
-assert [r["target"] for r in sweep["rows"]] == [192, 384]
-
-status, _, text = request(main, "GET", "/v1/metrics")
-snap = json.loads(text)
-assert snap["counters"]["serve.accepted"] >= 5, snap["counters"].get("serve.accepted")
-assert "serve.requests.predict" in snap["counters"]
-
-# 429 under a full queue: occupy the one-worker instance with a cold
-# request, then burst — the queue holds one, the rest must bounce.
-tiny = addr(sys.argv[2])
-occupier = threading.Thread(target=lambda: request(tiny, "POST", "/v1/predict", BODY))
-occupier.start()
-import time; time.sleep(0.5)
-codes = [None] * 6
-def probe(i):
-    codes[i] = request(tiny, "POST", "/v1/predict", BODY)[0]
-threads = [threading.Thread(target=probe, args=(i,)) for i in range(len(codes))]
-for t in threads: t.start()
-for t in threads: t.join()
-occupier.join()
-assert 429 in codes, f"no 429 from the saturated instance: {codes}"
-assert all(c in (200, 429) for c in codes), codes
-print(f"serve smoke: golden prediction served twice (one coalesced), "
-      f"sweep + metrics ok, burst codes {sorted(codes)}")
-PY
-kill -TERM "$serve_pid" "$serve_tiny_pid"
-wait "$serve_pid"
-wait "$serve_tiny_pid"
-grep -q 'drained in-flight work' "$tmp/serve.err" \
-    || { echo "serve daemon did not report a graceful drain" >&2; exit 1; }
-echo "serve smoke: both daemons drained and exited 0 on SIGTERM"
 
 echo "== ci.sh: all green =="

@@ -23,11 +23,11 @@
 //! * [`StencilProxy`] — a minimal 3-D Jacobi relaxation, used by examples
 //!   and tests where a two-block app suffices.
 //!
-//! All three implement [`xtrace_spmd::SpmdApp`] and the convenience trait
-//! [`ProxyApp`]. By default every application **strong-scales**: global
-//! problem sizes are fixed in the config, and per-rank region sizes / trip
-//! counts are derived from `(rank, nranks)`, so the per-core working set
-//! and work shrink as the core count rises — "the effect of this … is
+//! All three implement [`xtrace_spmd::SpmdApp`]. By default every
+//! application **strong-scales**: global problem sizes are fixed in the
+//! config, and per-rank region sizes / trip counts are derived from
+//! `(rank, nranks)`, so the per-core working set and work shrink as the
+//! core count rises — "the effect of this … is
 //! that, as the core count increases, the work and data footprint per core
 //! begins to decrease for most computational phases" (Section V). Setting
 //! [`ScalingMode::Weak`] instead fixes the per-rank problem (the
@@ -45,7 +45,7 @@ pub use specfem::{SpecfemConfig, SpecfemProxy};
 pub use stencil::{StencilConfig, StencilProxy};
 pub use uh3d::{Uh3dConfig, Uh3dProxy};
 
-use xtrace_spmd::{NetworkModel, SpmdApp};
+use xtrace_spmd::NetworkModel;
 
 /// Network model used when profiling communication: the base system's
 /// interconnect (Kraken-like defaults).
@@ -53,16 +53,11 @@ pub fn profiling_net() -> NetworkModel {
     NetworkModel::new(6.0e-6, 1.6e9)
 }
 
-/// Object-safe upcast shared by the proxies.
-pub trait ProxyApp: SpmdApp {
-    /// Upcast helper (object-safe access to the underlying [`SpmdApp`]).
-    fn as_spmd(&self) -> &dyn SpmdApp;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xtrace_obs::ObsContext;
+    use xtrace_spmd::SpmdApp;
 
     fn shape_of(app: &dyn SpmdApp, nranks: u32) -> Vec<u8> {
         app.rank_program(0, nranks)

@@ -48,8 +48,6 @@ use xtrace_ir::{
 use xtrace_spmd::{NetworkModel, RankEvent, RankProgram, SpmdApp};
 
 use crate::decomp::{neighbors6, scaled_share, ScalingMode};
-use crate::ProxyApp;
-
 /// Global (core-count-independent) problem description.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpecfemConfig {
@@ -366,12 +364,6 @@ impl SpmdApp for SpecfemProxy {
 
     fn exchange_partners(&self, rank: u32, nranks: u32) -> Vec<Vec<u32>> {
         vec![neighbors6(rank, nranks)]
-    }
-}
-
-impl ProxyApp for SpecfemProxy {
-    fn as_spmd(&self) -> &dyn SpmdApp {
-        self
     }
 }
 

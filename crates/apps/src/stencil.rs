@@ -11,8 +11,6 @@ use xtrace_ir::{
 use xtrace_spmd::{RankEvent, RankProgram, SpmdApp};
 
 use crate::decomp::{neighbors6, scaled_share, ScalingMode};
-use crate::ProxyApp;
-
 /// Global problem description.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StencilConfig {
@@ -144,12 +142,6 @@ impl SpmdApp for StencilProxy {
 
     fn exchange_partners(&self, rank: u32, nranks: u32) -> Vec<Vec<u32>> {
         vec![neighbors6(rank, nranks)]
-    }
-}
-
-impl ProxyApp for StencilProxy {
-    fn as_spmd(&self) -> &dyn SpmdApp {
-        self
     }
 }
 

@@ -38,8 +38,6 @@ use xtrace_ir::{
 use xtrace_spmd::{NetworkModel, RankEvent, RankProgram, SpmdApp};
 
 use crate::decomp::{neighbors6, scaled_share, ScalingMode};
-use crate::ProxyApp;
-
 /// Global problem description.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Uh3dConfig {
@@ -334,12 +332,6 @@ impl SpmdApp for Uh3dProxy {
     fn exchange_partners(&self, rank: u32, nranks: u32) -> Vec<Vec<u32>> {
         let n = neighbors6(rank, nranks);
         vec![n.clone(), n]
-    }
-}
-
-impl ProxyApp for Uh3dProxy {
-    fn as_spmd(&self) -> &dyn SpmdApp {
-        self
     }
 }
 

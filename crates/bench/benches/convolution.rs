@@ -7,14 +7,22 @@ use xtrace_machine::presets;
 use xtrace_obs::ObsContext;
 use xtrace_psins::try_predict_runtime;
 use xtrace_spmd::profile;
-use xtrace_tracer::{collect_signature_with, TracerConfig};
+use xtrace_tracer::{collect_signature_memo_obs, SigMemo, TracerConfig};
 
 fn bench_convolution(c: &mut Criterion) {
+    let obs = ObsContext::disabled();
     let app = StencilProxy::medium();
     let machine = presets::cray_xt5();
-    let sig = collect_signature_with(&app, 8, &machine, &TracerConfig::fast());
+    let sig = collect_signature_memo_obs(
+        &app,
+        8,
+        &machine,
+        &TracerConfig::fast(),
+        &SigMemo::new(),
+        &obs,
+    );
     let trace = sig.longest_task().clone();
-    let comm = profile(&app, 8, &profiling_net(), &ObsContext::disabled());
+    let comm = profile(&app, 8, &profiling_net(), &obs);
     // Force the lazy surface before timing.
     let _ = machine.surface();
 

@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xtrace_apps::{SpecfemProxy, StencilProxy, Uh3dProxy};
 use xtrace_machine::presets;
+use xtrace_obs::ObsContext;
 use xtrace_spmd::SpmdApp;
 use xtrace_tracer::{collect_task_trace, TracerConfig};
 
@@ -18,7 +19,17 @@ fn bench_tracing(c: &mut Criterion) {
     let mut g = c.benchmark_group("tracing");
     for (name, app) in &apps {
         g.bench_with_input(BenchmarkId::new("collect_task", name), app, |b, app| {
-            b.iter(|| black_box(collect_task_trace(app.as_ref(), 0, 8, &machine, &cfg)))
+            b.iter(|| {
+                black_box(collect_task_trace(
+                    app.as_ref(),
+                    0,
+                    8,
+                    &machine,
+                    &cfg,
+                    None,
+                    &ObsContext::disabled(),
+                ))
+            })
         });
     }
     g.finish();

@@ -18,9 +18,10 @@ use xtrace_machine::presets;
 use xtrace_obs::ObsContext;
 use xtrace_psins::{relative_error, try_predict_runtime};
 use xtrace_spmd::profile;
-use xtrace_tracer::{collect_ranks, collect_signature_with, TracerConfig};
+use xtrace_tracer::{collect_ranks, collect_signature_memo_obs, SigMemo, TracerConfig};
 
 fn main() {
+    let obs = ObsContext::disabled();
     // A mid-scale configuration so tracing a dozen ranks per count stays
     // quick.
     let mut app = SpecfemProxy::small();
@@ -41,7 +42,15 @@ fn main() {
     );
 
     // Cluster structure at the largest training count.
-    let traces_at_384 = collect_ranks(&app, &sample_ranks, 384, &machine, &tracer);
+    let traces_at_384 = collect_ranks(
+        &app,
+        &sample_ranks,
+        384,
+        &machine,
+        &tracer,
+        &SigMemo::new(),
+        &obs,
+    );
     let clustering = cluster_tasks(&traces_at_384, 2);
     println!(
         "cluster structure at 384 cores: master cluster {{rank 0}} alone = {}",
@@ -49,15 +58,16 @@ fn main() {
     );
 
     // Reference: collected trace at the target.
-    let collected = collect_signature_with(&app, target, &machine, &tracer);
-    let comm = profile(&app, target, &profiling_net(), &ObsContext::disabled());
+    let collected =
+        collect_signature_memo_obs(&app, target, &machine, &tracer, &SigMemo::new(), &obs);
+    let comm = profile(&app, target, &profiling_net(), &obs);
     let p_coll = try_predict_runtime(collected.longest_task(), &collected.comm, &machine).unwrap();
 
     // Variant A: the paper's methodology (longest task only).
     let longest: Vec<_> = training
         .iter()
         .map(|&p| {
-            collect_signature_with(&app, p, &machine, &tracer)
+            collect_signature_memo_obs(&app, p, &machine, &tracer, &SigMemo::new(), &obs)
                 .longest_task()
                 .clone()
         })
@@ -69,7 +79,20 @@ fn main() {
     // plays the longest-task role.
     let per_count: Vec<_> = training
         .iter()
-        .map(|&p| (p, collect_ranks(&app, &sample_ranks, p, &machine, &tracer)))
+        .map(|&p| {
+            (
+                p,
+                collect_ranks(
+                    &app,
+                    &sample_ranks,
+                    p,
+                    &machine,
+                    &tracer,
+                    &SigMemo::new(),
+                    &obs,
+                ),
+            )
+        })
         .collect();
     for k in [2usize, 4] {
         let clustered =

@@ -11,7 +11,8 @@
 use xtrace_bench::{block_hit_rate, paper_tracer, paper_uh3d, print_header, target_machine};
 use xtrace_cache::Replacement;
 use xtrace_machine::MachineProfile;
-use xtrace_tracer::collect_signature_with;
+use xtrace_obs::ObsContext;
+use xtrace_tracer::{collect_signature_memo_obs, SigMemo};
 
 fn with_replacement(base: &MachineProfile, r: Replacement, suffix: &str) -> MachineProfile {
     let mut hierarchy = base.hierarchy.clone();
@@ -52,7 +53,14 @@ fn main() {
         println!("-- {label} --");
         print_header(&["Cores", "L1 HR", "L2 HR", "L3 HR"], &[6, 7, 7, 7]);
         for &p in &counts {
-            let sig = collect_signature_with(&app, p, &machine, &tracer);
+            let sig = collect_signature_memo_obs(
+                &app,
+                p,
+                &machine,
+                &tracer,
+                &SigMemo::new(),
+                &ObsContext::disabled(),
+            );
             let b = sig.longest_task().block(block).expect("block present");
             println!(
                 "{:>6}  {:>6.1}  {:>6.1}  {:>6.1}",

@@ -13,7 +13,8 @@ use xtrace_bench::{
     UH3D_TRAINING,
 };
 use xtrace_extrap::{element_errors, summarize, ExtrapolationConfig};
-use xtrace_tracer::collect_signature_with;
+use xtrace_obs::ObsContext;
+use xtrace_tracer::{collect_signature_memo_obs, SigMemo};
 
 fn main() {
     let app = paper_uh3d();
@@ -23,7 +24,14 @@ fn main() {
 
     let (_t, extrapolated, _f) =
         run_with_fits(&app, &UH3D_TRAINING, UH3D_TARGET, &machine, &tracer, &cfg);
-    let collected = collect_signature_with(&app, UH3D_TARGET, &machine, &tracer);
+    let collected = collect_signature_memo_obs(
+        &app,
+        UH3D_TARGET,
+        &machine,
+        &tracer,
+        &SigMemo::new(),
+        &ObsContext::disabled(),
+    );
     let errors = element_errors(&extrapolated, collected.longest_task());
 
     println!(

@@ -48,8 +48,8 @@ use xtrace_obs::ObsContext;
 use xtrace_psins::{relative_error, try_predict_runtime};
 use xtrace_spmd::{profile, RankEvent, SpmdApp};
 use xtrace_tracer::{
-    collect_ranks_memo, collect_ranks_memo_obs, collect_task_trace, rank_stream_seed, to_bytes,
-    v1_encoded_len, SigMemo, TaskTrace, TracerConfig,
+    collect_ranks, collect_task_trace, rank_stream_seed, to_bytes, v1_encoded_len, SigMemo,
+    TaskTrace, TracerConfig,
 };
 
 #[derive(Serialize)]
@@ -308,12 +308,13 @@ fn main() {
     };
     let machine = target_machine();
     let threads = threads.max(2);
+    let obs = ObsContext::disabled();
 
     // Rank selection (untimed; identical for every leg).
     let longest_ranks: Vec<(u32, u32)> = training
         .iter()
         .map(|&p| {
-            let comm = profile(&app, p, &machine.net, &ObsContext::disabled());
+            let comm = profile(&app, p, &machine.net, &obs);
             (p, comm.longest_rank)
         })
         .collect();
@@ -365,7 +366,7 @@ fn main() {
             .map(|(p, ranks)| {
                 ranks
                     .iter()
-                    .map(|&r| collect_task_trace(&app, r, *p, &machine, &direct_cfg))
+                    .map(|&r| collect_task_trace(&app, r, *p, &machine, &direct_cfg, None, &obs))
                     .collect()
             })
             .collect()
@@ -383,7 +384,7 @@ fn main() {
     let memo_traces: Vec<Vec<TaskTrace>> = pool.install(|| {
         rank_sets
             .iter()
-            .map(|(p, ranks)| collect_ranks_memo(&app, ranks, *p, &machine, &cfg, &memo))
+            .map(|(p, ranks)| collect_ranks(&app, ranks, *p, &machine, &cfg, &memo, &obs))
             .collect()
     });
     let parallel_wall = t0.elapsed().as_secs_f64();
@@ -403,9 +404,7 @@ fn main() {
     let wide_traces: Vec<Vec<TaskTrace>> = pool.install(|| {
         wide_rank_sets
             .iter()
-            .map(|(p, ranks)| {
-                collect_ranks_memo_obs(&app, ranks, *p, &machine, &cfg, &wide_memo, &wide_obs)
-            })
+            .map(|(p, ranks)| collect_ranks(&app, ranks, *p, &machine, &cfg, &wide_memo, &wide_obs))
             .collect()
     });
     let wide_wall = t0.elapsed().as_secs_f64();

@@ -111,8 +111,9 @@ fn groups_for(
     machine: &MachineProfile,
     cfg: &TracerConfig,
 ) -> Vec<(TaskTrace, u64)> {
-    let t0 = collect_task_trace(app, 0, nranks, machine, cfg);
-    let t1 = collect_task_trace(app, 1.min(nranks - 1), nranks, machine, cfg);
+    let obs = ObsContext::disabled();
+    let t0 = collect_task_trace(app, 0, nranks, machine, cfg, None, &obs);
+    let t1 = collect_task_trace(app, 1.min(nranks - 1), nranks, machine, cfg, None, &obs);
     vec![(t0, 1), (t1, u64::from(nranks) - 1)]
 }
 

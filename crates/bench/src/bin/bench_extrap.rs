@@ -32,7 +32,7 @@ use xtrace_extrap::{
 };
 use xtrace_obs::ObsContext;
 use xtrace_spmd::{profile, SpmdApp};
-use xtrace_tracer::{collect_ranks_memo, FeatureId, SigMemo, TaskTrace, TracerConfig};
+use xtrace_tracer::{collect_ranks, FeatureId, SigMemo, TaskTrace, TracerConfig};
 
 #[derive(Serialize)]
 struct ConfigResult {
@@ -136,12 +136,12 @@ fn main() {
     );
 
     // Training traces (untimed; shared memo across counts).
-    let memo = SigMemo::new();
+    let (memo, obs) = (SigMemo::new(), ObsContext::disabled());
     let traces: Vec<TaskTrace> = training
         .iter()
         .map(|&p| {
-            let comm = profile(&app, p, &machine.net, &ObsContext::disabled());
-            collect_ranks_memo(&app, &[comm.longest_rank], p, &machine, &cfg, &memo)
+            let comm = profile(&app, p, &machine.net, &obs);
+            collect_ranks(&app, &[comm.longest_rank], p, &machine, &cfg, &memo, &obs)
                 .pop()
                 .expect("one trace")
         })

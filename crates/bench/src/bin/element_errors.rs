@@ -14,15 +14,23 @@ use xtrace_bench::{
     SPECFEM_TARGET, SPECFEM_TRAINING, UH3D_TARGET, UH3D_TRAINING,
 };
 use xtrace_extrap::{element_errors, summarize, ExtrapolationConfig};
+use xtrace_obs::ObsContext;
 use xtrace_spmd::SpmdApp;
-use xtrace_tracer::collect_signature_with;
+use xtrace_tracer::{collect_signature_memo_obs, SigMemo};
 
 fn audit(app: &dyn SpmdApp, training: &[u32], target: u32) {
     let machine = target_machine();
     let tracer = paper_tracer();
     let cfg = ExtrapolationConfig::default();
     let (_t, extrapolated, _fits) = run_with_fits(app, training, target, &machine, &tracer, &cfg);
-    let collected = collect_signature_with(app, target, &machine, &tracer);
+    let collected = collect_signature_memo_obs(
+        app,
+        target,
+        &machine,
+        &tracer,
+        &SigMemo::new(),
+        &ObsContext::disabled(),
+    );
     let errors = element_errors(&extrapolated, collected.longest_task());
     let s = summarize(&errors, cfg.influence_threshold);
 

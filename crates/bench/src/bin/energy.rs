@@ -17,17 +17,19 @@ use xtrace_core::PipelineApp;
 use xtrace_extrap::{extrapolate_signature, ExtrapolationConfig};
 use xtrace_obs::ObsContext;
 use xtrace_psins::{relative_error, try_predict_energy};
-use xtrace_tracer::collect_signature_with;
+use xtrace_tracer::{collect_signature_memo_obs, SigMemo};
 
 fn run(app: &dyn PipelineApp, training: &[u32], target: u32) {
+    let obs = ObsContext::disabled();
     let machine = target_machine();
     let tracer = paper_tracer();
     let spmd = app.spmd();
     let traces = training_traces(spmd, training, &machine, &tracer);
     let extrapolated =
         extrapolate_signature(&traces, target, &ExtrapolationConfig::default()).unwrap();
-    let collected = collect_signature_with(spmd, target, &machine, &tracer);
-    let comm = app.comm_obs(target, &ObsContext::disabled());
+    let collected =
+        collect_signature_memo_obs(spmd, target, &machine, &tracer, &SigMemo::new(), &obs);
+    let comm = app.comm_obs(target, &obs);
 
     let e_ex = try_predict_energy(&extrapolated, &comm, &machine).unwrap();
     let e_coll = try_predict_energy(collected.longest_task(), &collected.comm, &machine).unwrap();

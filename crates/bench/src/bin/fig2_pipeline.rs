@@ -14,6 +14,7 @@
 //! Run with: `cargo run --release -p xtrace-bench --bin fig2_pipeline`
 
 use xtrace_bench::{paper_specfem, paper_tracer, target_machine};
+use xtrace_obs::ObsContext;
 use xtrace_spmd::SpmdApp;
 use xtrace_tracer::{collect_task_trace, to_bytes};
 
@@ -63,7 +64,15 @@ fn main() {
     );
 
     // Stage 3: the cache simulator's view.
-    let trace = collect_task_trace(&app, rank, nranks, &machine, &tracer);
+    let trace = collect_task_trace(
+        &app,
+        rank,
+        nranks,
+        &machine,
+        &tracer,
+        None,
+        &ObsContext::disabled(),
+    );
     println!("\n[3] on-the-fly cache simulation ({} levels)", trace.depth);
     for b in &trace.blocks {
         let l1 = xtrace_bench::block_hit_rate(b, 0);

@@ -14,7 +14,8 @@ use xtrace_bench::{
     paper_specfem, paper_tracer, run_with_fits, target_machine, SPECFEM_TARGET, SPECFEM_TRAINING,
 };
 use xtrace_extrap::ExtrapolationConfig;
-use xtrace_tracer::{collect_signature_with, FeatureId};
+use xtrace_obs::ObsContext;
+use xtrace_tracer::{collect_signature_memo_obs, FeatureId, SigMemo};
 
 fn main() {
     let app = paper_specfem();
@@ -30,7 +31,14 @@ fn main() {
         &tracer,
         &extrap_cfg,
     );
-    let collected = collect_signature_with(&app, SPECFEM_TARGET, &machine, &tracer);
+    let collected = collect_signature_memo_obs(
+        &app,
+        SPECFEM_TARGET,
+        &machine,
+        &tracer,
+        &SigMemo::new(),
+        &ObsContext::disabled(),
+    );
 
     // The illustrated instruction: the master-collect load (instruction 0).
     let block = "master-collect";

@@ -12,7 +12,8 @@
 
 use xtrace_bench::{paper_tracer, paper_uh3d, print_header, target_machine, UH3D_TARGET};
 use xtrace_extrap::{fit_all, select_best, CanonicalForm, SelectionCriterion};
-use xtrace_tracer::collect_signature_with;
+use xtrace_obs::ObsContext;
+use xtrace_tracer::{collect_signature_memo_obs, SigMemo};
 
 fn main() {
     let app = paper_uh3d();
@@ -33,7 +34,14 @@ fn main() {
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     for &p in &counts {
-        let sig = collect_signature_with(&app, p, &machine, &tracer);
+        let sig = collect_signature_memo_obs(
+            &app,
+            p,
+            &machine,
+            &tracer,
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let b = sig.longest_task().block(block).expect("block present");
         xs.push(f64::from(p));
         ys.push(b.instrs[instr].features.hit_rates[level]);

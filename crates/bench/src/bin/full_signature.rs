@@ -20,9 +20,10 @@ use xtrace_psins::{
     ground_truth, ground_truth_application, relative_error, try_predict_runtime, try_replay_groups,
 };
 use xtrace_spmd::profile;
-use xtrace_tracer::{collect_ranks, collect_signature_with};
+use xtrace_tracer::{collect_ranks, collect_signature_memo_obs, SigMemo};
 
 fn main() {
+    let obs = ObsContext::disabled();
     // Mid-scale configuration: a dozen traced ranks per count stays fast.
     let mut app = SpecfemProxy::small();
     app.cfg.total_elements = 49_152;
@@ -49,7 +50,12 @@ fn main() {
 
     let per_count: Vec<_> = training
         .iter()
-        .map(|&p| (p, collect_ranks(&app, &sample, p, &machine, &tracer)))
+        .map(|&p| {
+            (
+                p,
+                collect_ranks(&app, &sample, p, &machine, &tracer, &SigMemo::new(), &obs),
+            )
+        })
         .collect();
     let sig = synthesize_full_signature(&per_count, target, 2, &ExtrapolationConfig::default())
         .expect("synthesis succeeds");
@@ -72,8 +78,9 @@ fn main() {
 
     // Validate the heaviest group against the longest-task methodology and
     // the collected trace.
-    let collected = collect_signature_with(&app, target, &machine, &tracer);
-    let comm = profile(&app, target, &profiling_net(), &ObsContext::disabled());
+    let collected =
+        collect_signature_memo_obs(&app, target, &machine, &tracer, &SigMemo::new(), &obs);
+    let comm = profile(&app, target, &profiling_net(), &obs);
     let p_group = try_predict_runtime(sig.longest(), &comm, &machine).unwrap();
     let p_coll = try_predict_runtime(collected.longest_task(), &collected.comm, &machine).unwrap();
     println!(
@@ -103,7 +110,7 @@ fn main() {
         .collect();
     let replay = try_replay_groups(&app, target, &groups, &machine).unwrap();
     let exact = ground_truth_application(&app, target, &machine, &tracer).unwrap();
-    let serial = ground_truth(&app, target, &machine, &tracer, &ObsContext::disabled());
+    let serial = ground_truth(&app, target, &machine, &tracer, &obs);
     println!(
         "\nwhole-application replay at {target} cores (every rank charged from\n\
          its group's synthetic trace, synchronization replayed):"

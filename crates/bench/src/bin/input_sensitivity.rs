@@ -28,7 +28,7 @@ use xtrace_machine::presets;
 use xtrace_obs::ObsContext;
 use xtrace_psins::{relative_error, try_predict_runtime};
 use xtrace_spmd::profile;
-use xtrace_tracer::collect_signature_with;
+use xtrace_tracer::{collect_signature_memo_obs, SigMemo};
 
 fn app_with_mesh(elements: u64) -> SpecfemProxy {
     let mut app = SpecfemProxy::paper_scale();
@@ -43,7 +43,14 @@ fn run_scenario(label: &str, train_sizes: [u64; 3], target_size: u64, p: u32) ->
     let points: Vec<(f64, xtrace_tracer::TaskTrace)> = train_sizes
         .iter()
         .map(|&n| {
-            let sig = collect_signature_with(&app_with_mesh(n), p, &machine, &tracer);
+            let sig = collect_signature_memo_obs(
+                &app_with_mesh(n),
+                p,
+                &machine,
+                &tracer,
+                &SigMemo::new(),
+                &ObsContext::disabled(),
+            );
             (n as f64, sig.longest_task().clone())
         })
         .collect();
@@ -65,7 +72,14 @@ fn run_scenario(label: &str, train_sizes: [u64; 3], target_size: u64, p: u32) ->
     let extrapolated = extrapolate_series(&points, target_size as f64, &cfg).expect("valid series");
 
     let target_app = app_with_mesh(target_size);
-    let collected = collect_signature_with(&target_app, p, &machine, &tracer);
+    let collected = collect_signature_memo_obs(
+        &target_app,
+        p,
+        &machine,
+        &tracer,
+        &SigMemo::new(),
+        &ObsContext::disabled(),
+    );
     let comm = profile(&target_app, p, &profiling_net(), &ObsContext::disabled());
     let pe = try_predict_runtime(&extrapolated, &comm, &machine).unwrap();
     let pc = try_predict_runtime(collected.longest_task(), &collected.comm, &machine).unwrap();

@@ -19,7 +19,8 @@
 //! Run with: `cargo run --release -p xtrace-bench --bin table2`
 
 use xtrace_bench::{block_hit_rate, paper_tracer, paper_uh3d, print_header, target_machine};
-use xtrace_tracer::collect_signature_with;
+use xtrace_obs::ObsContext;
+use xtrace_tracer::{collect_signature_memo_obs, SigMemo};
 
 fn main() {
     let app = paper_uh3d();
@@ -39,7 +40,14 @@ fn main() {
     );
 
     for &p in &counts {
-        let sig = collect_signature_with(&app, p, &machine, &tracer);
+        let sig = collect_signature_memo_obs(
+            &app,
+            p,
+            &machine,
+            &tracer,
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let block = sig
             .longest_task()
             .block(block_name)

@@ -19,7 +19,8 @@
 
 use xtrace_bench::{block_hit_rate, paper_specfem, paper_tracer, print_header};
 use xtrace_machine::presets;
-use xtrace_tracer::collect_signature_with;
+use xtrace_obs::ObsContext;
+use xtrace_tracer::{collect_signature_memo_obs, SigMemo};
 
 fn main() {
     let app = paper_specfem();
@@ -56,7 +57,14 @@ fn main() {
         );
         let mut row = format!("{label:>16}");
         for &p in &counts {
-            let sig = collect_signature_with(&app, p, &machine, &tracer);
+            let sig = collect_signature_memo_obs(
+                &app,
+                p,
+                &machine,
+                &tracer,
+                &SigMemo::new(),
+                &ObsContext::disabled(),
+            );
             let block = sig
                 .longest_task()
                 .block(block_name)

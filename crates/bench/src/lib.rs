@@ -17,13 +17,13 @@ pub mod seed_sim;
 use xtrace_apps::{SpecfemProxy, Uh3dProxy};
 use xtrace_core::PipelineApp;
 use xtrace_extrap::{
-    extrapolate_signature, extrapolate_signature_detailed, ElementFit, ExtrapolationConfig,
+    extrapolate_signature, fit_signature_obs, synthesize_from_fit, ElementFit, ExtrapolationConfig,
 };
 use xtrace_machine::{presets, MachineProfile};
 use xtrace_obs::ObsContext;
 use xtrace_psins::{ground_truth, relative_error, try_predict_runtime, GroundTruth, Prediction};
 use xtrace_spmd::SpmdApp;
-use xtrace_tracer::{collect_signature_with, BlockRecord, TaskTrace, TracerConfig};
+use xtrace_tracer::{collect_signature_memo_obs, BlockRecord, SigMemo, TaskTrace, TracerConfig};
 
 /// SPECFEM3D training ladder (paper Section V).
 pub const SPECFEM_TRAINING: [u32; 3] = [96, 384, 1536];
@@ -64,9 +64,16 @@ pub fn training_traces(
     counts
         .iter()
         .map(|&p| {
-            collect_signature_with(app, p, machine, cfg)
-                .longest_task()
-                .clone()
+            collect_signature_memo_obs(
+                app,
+                p,
+                machine,
+                cfg,
+                &SigMemo::new(),
+                &ObsContext::disabled(),
+            )
+            .longest_task()
+            .clone()
         })
         .collect()
 }
@@ -113,19 +120,21 @@ pub fn run_table1_row(
     cfg: &TracerConfig,
     extrap_cfg: &ExtrapolationConfig,
 ) -> Table1Row {
+    let obs = ObsContext::disabled();
     let spmd = app.spmd();
     let traces = training_traces(spmd, training, machine, cfg);
     let extrapolated =
         extrapolate_signature(&traces, target, extrap_cfg).expect("valid training ladder");
-    let collected_sig = collect_signature_with(spmd, target, machine, cfg);
-    let comm = app.comm_obs(target, &ObsContext::disabled());
+    let collected_sig =
+        collect_signature_memo_obs(spmd, target, machine, cfg, &SigMemo::new(), &obs);
+    let comm = app.comm_obs(target, &obs);
     Table1Row {
         app: spmd.name().to_string(),
         cores: target,
         extrap: try_predict_runtime(&extrapolated, &comm, machine).unwrap(),
         collected: try_predict_runtime(collected_sig.longest_task(), &collected_sig.comm, machine)
             .unwrap(),
-        measured: ground_truth(spmd, target, machine, cfg, &ObsContext::disabled()),
+        measured: ground_truth(spmd, target, machine, cfg, &obs),
     }
 }
 
@@ -141,9 +150,10 @@ pub fn run_with_fits(
     extrap_cfg: &ExtrapolationConfig,
 ) -> (Vec<TaskTrace>, TaskTrace, Vec<ElementFit>) {
     let traces = training_traces(app, training, machine, cfg);
-    let (extrapolated, fits) =
-        extrapolate_signature_detailed(&traces, target, extrap_cfg).expect("valid ladder");
-    (traces, extrapolated, fits)
+    let fit = fit_signature_obs(&traces, target, extrap_cfg, &ObsContext::disabled())
+        .expect("valid ladder");
+    let extrapolated = synthesize_from_fit(&fit);
+    (traces, extrapolated, fit.fits)
 }
 
 /// Memory-op-weighted cumulative hit rate of a block at `level`.
@@ -210,7 +220,14 @@ mod tests {
     fn block_hit_rate_weights_by_mem_ops() {
         let app = xtrace_apps::StencilProxy::small();
         let machine = presets::cray_xt5();
-        let sig = collect_signature_with(&app, 2, &machine, &TracerConfig::fast());
+        let sig = collect_signature_memo_obs(
+            &app,
+            2,
+            &machine,
+            &TracerConfig::fast(),
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let b = &sig.longest_task().blocks[0];
         let hr = block_hit_rate(b, 0);
         assert!((0.0..=1.0).contains(&hr));

@@ -70,9 +70,12 @@ use xtrace_core::{
     make_app, make_machine, FormSet, PipelineConfig, StageKind, StageObserver, XtraceEngine,
     XtraceError,
 };
-use xtrace_extrap::{extrapolate_signature_detailed, ExtrapolationConfig, FitReport};
+use xtrace_extrap::{fit_signature_obs, synthesize_from_fit, ExtrapolationConfig, FitReport};
 use xtrace_machine::presets;
-use xtrace_tracer::{from_bytes, load_json, save_json, to_bytes, IoError, TaskTrace, TracerConfig};
+use xtrace_obs::ObsContext;
+use xtrace_tracer::{
+    from_bytes, load_json, save_json, to_bytes, IoError, SigMemo, TaskTrace, TracerConfig,
+};
 
 fn usage() -> &'static str {
     "usage:\n  \
@@ -277,18 +280,26 @@ fn cmd_apps() -> Result<()> {
 }
 
 fn cmd_trace(args: &Args) -> Result<()> {
+    let obs = ObsContext::disabled();
     let app = make_app(args.require("app")?, args.get("scale").unwrap_or("small"))?;
     let ranks = args.parse_u32("ranks")?;
     let machine = make_machine(args.require("machine")?)?;
     let cfg = TracerConfig::default();
 
-    let sig = xtrace_tracer::collect_signature_with(app.spmd(), ranks, &machine, &cfg);
+    let sig = xtrace_tracer::collect_signature_memo_obs(
+        app.spmd(),
+        ranks,
+        &machine,
+        &cfg,
+        &SigMemo::new(),
+        &obs,
+    );
     let trace = match args.get("rank") {
         Some(r) => {
             let r: u32 = r
                 .parse()
                 .map_err(|_| usage_err("--rank must be an integer"))?;
-            xtrace_tracer::collect_task_trace(app.spmd(), r, ranks, &machine, &cfg)
+            xtrace_tracer::collect_task_trace(app.spmd(), r, ranks, &machine, &cfg, None, &obs)
         }
         None => sig.longest_task().clone(),
     };
@@ -330,7 +341,8 @@ fn cmd_extrapolate(args: &Args) -> Result<()> {
         min_traces: traces.len().clamp(2, 3),
         ..ExtrapolationConfig::default()
     };
-    let (out, fits) = extrapolate_signature_detailed(&traces, target, &cfg)?;
+    let fit = fit_signature_obs(&traces, target, &cfg, &ObsContext::disabled())?;
+    let out = synthesize_from_fit(&fit);
     eprintln!(
         "extrapolated {} from {:?} cores to {target}",
         out.app,
@@ -339,7 +351,7 @@ fn cmd_extrapolate(args: &Args) -> Result<()> {
     if args.get("report").is_some_and(|v| v == "true") {
         eprintln!(
             "{}",
-            FitReport::from_fits(&fits, cfg.influence_threshold).render()
+            FitReport::from_fits(&fit.fits, cfg.influence_threshold).render()
         );
     }
     match args.get("out") {

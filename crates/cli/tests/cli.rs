@@ -1042,3 +1042,78 @@ fn wide_collection_keeps_the_ring_bounded_and_stores_compressed_traces() {
         "wide collection stored only {writes} artifacts"
     );
 }
+
+/// Kills the daemon if the test fails before it shuts down, so a failed
+/// assertion never leaves it running.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_drains_and_exits_zero_on_sigterm() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::process::Stdio;
+
+    let store = tmpdir("serve-sigterm").join("store");
+    let _ = std::fs::remove_dir_all(&store);
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_xtrace"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--store"])
+            .arg(&store)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    let mut stdout = BufReader::new(daemon.0.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read the bind line");
+    let addr = line
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+        .trim()
+        .to_string();
+
+    let body = r#"{"app":"specfem3d","machine":"cray-xt5","training":[6,24,96],"target":384,
+        "scale":"tiny","fast_tracer":true,"validate":false}"#;
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    write!(
+        stream,
+        "POST /v1/predict HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
+         Content-Length: {}\r\nContent-Type: application/json\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    let (head, payload) = raw.split_once("\r\n\r\n").expect("header terminator");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let response: xtrace_serve::ServeResponseV1 = serde_json::from_str(payload).unwrap();
+    let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/specfem_tiny_prediction.json");
+    let golden: xtrace_psins::Prediction =
+        serde_json::from_str(&std::fs::read_to_string(golden_path).unwrap()).unwrap();
+    assert_eq!(response.prediction, golden);
+
+    let kill = Command::new("kill")
+        .args(["-TERM", &daemon.0.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+    let status = daemon.0.wait().expect("daemon exits");
+    let mut stderr = String::new();
+    daemon
+        .0
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(status.success(), "exit {status:?}; stderr: {stderr}");
+    assert!(stderr.contains("drained in-flight work"), "{stderr}");
+}

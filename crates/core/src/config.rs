@@ -8,7 +8,7 @@
 //! with the same hash are guaranteed to want the same artifacts.
 
 use serde::{Deserialize, Serialize};
-use xtrace_apps::{profiling_net, ProxyApp, SpecfemProxy, StencilProxy, Uh3dProxy};
+use xtrace_apps::{profiling_net, SpecfemProxy, StencilProxy, Uh3dProxy};
 use xtrace_extrap::{CanonicalForm, ExtrapolationConfig};
 use xtrace_machine::{presets, MachineProfile};
 use xtrace_obs::ObsContext;
@@ -380,12 +380,12 @@ pub trait PipelineApp {
     ) -> (CommProfile, Option<CriticalPathReport>);
 }
 
-impl<T: ProxyApp> PipelineApp for T {
+impl<T: SpmdApp> PipelineApp for T {
     fn spmd(&self) -> &dyn SpmdApp {
-        self.as_spmd()
+        self
     }
     fn comm_obs(&self, nranks: u32, obs: &ObsContext) -> CommProfile {
-        xtrace_spmd::profile(self.as_spmd(), nranks, &profiling_net(), obs)
+        xtrace_spmd::profile(self, nranks, &profiling_net(), obs)
     }
     fn comm_attr_obs(
         &self,
@@ -393,7 +393,7 @@ impl<T: ProxyApp> PipelineApp for T {
         obs: &ObsContext,
     ) -> (CommProfile, Option<CriticalPathReport>) {
         let (profile, critical) =
-            xtrace_spmd::profile_attributed(self.as_spmd(), nranks, &profiling_net(), obs);
+            xtrace_spmd::profile_attributed(self, nranks, &profiling_net(), obs);
         (profile, Some(critical))
     }
 }

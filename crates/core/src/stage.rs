@@ -10,10 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 use xtrace_psins::{ground_truth, relative_error, try_predict_runtime, Prediction};
-use xtrace_tracer::{
-    collect_signature_memo_obs, collect_signature_with_obs, collect_task_trace_memo_obs, SigMemo,
-    TaskTrace,
-};
+use xtrace_tracer::{collect_signature_memo_obs, collect_task_trace, SigMemo, TaskTrace};
 
 use crate::config::PipelineCtx;
 use crate::error::Result;
@@ -153,7 +150,7 @@ pub(crate) fn collect(ctx: &PipelineCtx, obs: &mut dyn StageObserver) -> Result<
                         continue;
                     }
                 }
-                let worker = collect_task_trace_memo_obs(
+                let worker = collect_task_trace(
                     ctx.app.spmd(),
                     r,
                     p,
@@ -196,8 +193,14 @@ pub(crate) fn validate(
     target: u32,
     prediction: &Prediction,
 ) -> Result<Validation> {
-    let sig =
-        collect_signature_with_obs(ctx.app.spmd(), target, &ctx.machine, &ctx.tracer, &ctx.obs);
+    let sig = collect_signature_memo_obs(
+        ctx.app.spmd(),
+        target,
+        &ctx.machine,
+        &ctx.tracer,
+        &SigMemo::new(),
+        &ctx.obs,
+    );
     obs.progress(StageKind::Validate, &format!("collected {target} cores"));
     let collected = try_predict_runtime(sig.longest_task(), &sig.comm, &ctx.machine)?;
     let gt = ground_truth(ctx.app.spmd(), target, &ctx.machine, &ctx.tracer, &ctx.obs);

@@ -483,7 +483,7 @@ impl xtrace_psins::ConvolveCache for ArtifactStore {
 mod tests {
     use super::*;
     use xtrace_machine::presets;
-    use xtrace_tracer::{collect_signature_with, TracerConfig};
+    use xtrace_tracer::{collect_signature_memo_obs, SigMemo, TracerConfig};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -496,9 +496,16 @@ mod tests {
     fn sample_trace() -> TaskTrace {
         let app = xtrace_apps::StencilProxy::small();
         let machine = presets::opteron();
-        collect_signature_with(&app, 2, &machine, &TracerConfig::fast())
-            .longest_task()
-            .clone()
+        collect_signature_memo_obs(
+            &app,
+            2,
+            &machine,
+            &TracerConfig::fast(),
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        )
+        .longest_task()
+        .clone()
     }
 
     #[test]
@@ -588,16 +595,15 @@ mod tests {
     #[test]
     fn cached_replay_model_reuses_store_entries() {
         use xtrace_psins::GroupComputeModel;
+        let obs = ObsContext::disabled();
         let store = ArtifactStore::open(tmp("convolve-model")).unwrap();
         let app = xtrace_apps::StencilProxy::small();
         let machine = presets::opteron();
         let cfg = TracerConfig::fast();
-        let t0 = xtrace_tracer::collect_task_trace(&app, 0, 4, &machine, &cfg);
-        let t1 = xtrace_tracer::collect_task_trace(&app, 1, 4, &machine, &cfg);
+        let t0 = xtrace_tracer::collect_task_trace(&app, 0, 4, &machine, &cfg, None, &obs);
+        let t1 = xtrace_tracer::collect_task_trace(&app, 1, 4, &machine, &cfg, None, &obs);
         let groups = vec![(t0, 1u64), (t1, 3u64)];
-        let build = || {
-            GroupComputeModel::try_new(&groups, 4, &machine, Some(&store), &ObsContext::disabled())
-        };
+        let build = || GroupComputeModel::try_new(&groups, 4, &machine, Some(&store), &obs);
         let (_, cold) = build().expect("cold");
         assert_eq!(cold, 0);
         let (_, warm) = build().expect("warm");

@@ -10,8 +10,17 @@
 //! Input: the longest task's trace files from ≥ `min_traces` (default 3)
 //! training core counts. Blocks are aligned across traces by name,
 //! instructions by index. Output: a synthetic [`TaskTrace`] at the target
-//! core count, plus (from the `_detailed` variant) the chosen model for
-//! every element, which the figure-generating benches report.
+//! core count.
+//!
+//! One fitting core serves every entry point.
+//! [`fit_signature_candidates_obs`] fits each element's candidate forms
+//! once over the training family; [`SignatureCandidates::select_obs`]
+//! picks each element's winner at a target; [`synthesize_from_fit`]
+//! evaluates the winners there. [`fit_signature_obs`] is the first two at
+//! one target (its [`SignatureFit::fits`] carry the chosen model of every
+//! element, which the figure-generating benches report),
+//! [`extrapolate_signature`] all three, and [`extrapolate_series`] the
+//! same over an arbitrary abscissa.
 //!
 //! Post-processing keeps the synthetic vectors physical: counts are clamped
 //! non-negative, hit rates to `[0, 1]` with cumulative monotonicity across
@@ -23,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use xtrace_obs::ObsContext;
 use xtrace_tracer::{FeatureId, TaskTrace, TraceColumns};
 
-use crate::fit::{fit_all, select_best_from, select_best_guarded, SelectionCriterion};
+use crate::fit::{fit_all, select_best_from, SelectionCriterion};
 use crate::forms::{CanonicalForm, FittedModel};
 
 /// Extrapolation parameters.
@@ -158,11 +167,10 @@ pub struct BlockModels {
 /// The complete fitted model of a signature: the output of the *Fit*
 /// phase and the sole input of the *Synthesize* phase.
 ///
-/// [`fit_signature`] produces one; [`synthesize_from_fit`] turns it into
-/// the synthetic [`TaskTrace`]. The two-phase split lets pipeline engines
-/// time, persist, and resume the phases independently; composing them is
-/// bit-identical to the fused [`extrapolate_signature_detailed`] API,
-/// which is itself implemented as exactly that composition.
+/// [`fit_signature_obs`] produces one; [`synthesize_from_fit`] turns it
+/// into the synthetic [`TaskTrace`]. The two-phase split lets pipeline
+/// engines time, persist, and resume the phases independently;
+/// [`extrapolate_signature`] is exactly that composition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SignatureFit {
     /// The largest training trace — the structural template synthesis
@@ -242,78 +250,27 @@ pub fn extrapolate_signature(
     target: u32,
     cfg: &ExtrapolationConfig,
 ) -> Result<TaskTrace, ExtrapolationError> {
-    extrapolate_signature_detailed(traces, target, cfg).map(|(t, _)| t)
-}
-
-/// Like [`extrapolate_signature`] but also returns every element's chosen
-/// model.
-pub fn extrapolate_signature_detailed(
-    traces: &[TaskTrace],
-    target: u32,
-    cfg: &ExtrapolationConfig,
-) -> Result<(TaskTrace, Vec<ElementFit>), ExtrapolationError> {
-    let fit = fit_signature(traces, target, cfg)?;
-    let trace = synthesize_from_fit(&fit);
-    Ok((trace, fit.fits))
-}
-
-/// The *Fit* phase: validates the training family, fits the canonical
-/// forms to every feature element, and returns the complete signature
-/// model. Feed the result to [`synthesize_from_fit`].
-pub fn fit_signature(
-    traces: &[TaskTrace],
-    target: u32,
-    cfg: &ExtrapolationConfig,
-) -> Result<SignatureFit, ExtrapolationError> {
     fit_signature_obs(traces, target, cfg, &ObsContext::disabled())
+        .map(|fit| synthesize_from_fit(&fit))
 }
 
-/// [`fit_signature`] recording fit telemetry into an explicit
-/// observability context.
+/// The *Fit* phase at one target: fits every element's candidates over
+/// the training family ([`fit_signature_candidates_obs`]) and selects the
+/// winners at `target` ([`SignatureCandidates::select_obs`]), recording
+/// both halves' telemetry into `obs`. Feed the result to
+/// [`synthesize_from_fit`].
 pub fn fit_signature_obs(
     traces: &[TaskTrace],
     target: u32,
     cfg: &ExtrapolationConfig,
     obs: &ObsContext,
 ) -> Result<SignatureFit, ExtrapolationError> {
-    if traces.len() < cfg.min_traces.max(1) {
-        return Err(ExtrapolationError::TooFewTraces {
-            got: traces.len(),
-            need: cfg.min_traces.max(1),
-        });
-    }
-
-    // Sort by core count; validate the family.
-    let mut sorted: Vec<&TaskTrace> = traces.iter().collect();
-    sorted.sort_by_key(|t| t.nranks);
-    for w in sorted.windows(2) {
-        if w[0].nranks == w[1].nranks {
-            return Err(ExtrapolationError::DuplicateCoreCount(w[0].nranks));
-        }
-    }
-    validate_family(&sorted)?;
-    let base = *sorted.last().expect("nonempty");
-    if target <= base.nranks {
-        return Err(ExtrapolationError::TargetNotLarger {
-            target,
-            max_input: base.nranks,
-        });
-    }
-
-    let xs: Vec<f64> = sorted.iter().map(|t| f64::from(t.nranks)).collect();
-    Ok(fit_sorted(
-        &sorted,
-        &xs,
-        f64::from(target),
-        target,
-        cfg,
-        obs,
-    ))
+    fit_signature_candidates_obs(traces, cfg, obs)?.select_obs(target, obs)
 }
 
 /// Every applicable candidate fit of one feature element — the
 /// target-independent half of that element's extrapolation. Selection per
-/// target happens in [`SignatureCandidates::select`].
+/// target happens in [`SignatureCandidates::select_obs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElementCandidates {
     /// Block the element belongs to.
@@ -346,15 +303,17 @@ pub struct BlockCandidates {
 
 /// The target-independent prefix of the *Fit* phase: every element's full
 /// candidate set, fitted once over the training family. Selecting at a
-/// concrete target ([`SignatureCandidates::select`]) is cheap — filter the
-/// candidates by the non-negativity guard at that target, sort, pick — so a
-/// multi-target sweep fits each element exactly once and re-selects per
-/// target, bit-identical to running [`fit_signature`] per target.
+/// concrete target ([`SignatureCandidates::select_obs`]) is cheap — filter
+/// the candidates by the non-negativity guard at that target, sort, pick —
+/// so a multi-target sweep fits each element exactly once and re-selects
+/// per target. The winner is exactly what
+/// [`select_best_guarded`](crate::fit::select_best_guarded) picks from the
+/// element's training series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignatureCandidates {
     /// The largest training trace (the structural template).
     pub base: TaskTrace,
-    /// Sorted training core counts the candidates were fitted over.
+    /// Sorted training abscissas the candidates were fitted over.
     pub xs: Vec<f64>,
     /// Model-selection criterion applied at selection time.
     pub criterion: SelectionCriterion,
@@ -366,17 +325,10 @@ pub struct SignatureCandidates {
 }
 
 impl SignatureCandidates {
-    /// Selects the best candidate per element at `target` cores, producing
-    /// the same [`SignatureFit`] that [`fit_signature`] over the original
-    /// training traces yields at that target.
-    pub fn select(&self, target: u32) -> Result<SignatureFit, ExtrapolationError> {
-        self.select_obs(target, &ObsContext::disabled())
-    }
-
-    /// [`Self::select`] recording its fit decisions into `obs`: per-form
-    /// win counters (`extrap.fit_wins.*`) and one `extrap.fit.<Form>`
-    /// journal instant per element, exactly as [`fit_signature_obs`]
-    /// records them.
+    /// Selects the best candidate per element at `target` cores, recording
+    /// the fit decisions into `obs`: per-form win counters
+    /// (`extrap.fit_wins.*`) and one `extrap.fit.<Form>` journal instant
+    /// per element.
     pub fn select_obs(
         &self,
         target: u32,
@@ -388,7 +340,15 @@ impl SignatureCandidates {
                 max_input: self.base.nranks,
             });
         }
-        let tx = f64::from(target);
+        Ok(self.select_at(f64::from(target), target, obs))
+    }
+
+    /// Selects every element's winner at abscissa `tx` and labels the
+    /// synthetic trace with `out_nranks` cores.
+    fn select_at(&self, tx: f64, out_nranks: u32, obs: &ObsContext) -> SignatureFit {
+        let select = |candidates: &[FittedModel], ys: &[f64]| {
+            select_best_from(candidates, &self.xs, ys, self.criterion, tx)
+        };
         let fits: Vec<ElementFit> = self
             .elements
             .iter()
@@ -396,7 +356,7 @@ impl SignatureCandidates {
                 block: ec.block.clone(),
                 instr: ec.instr,
                 feature: ec.feature,
-                model: select_best_from(&ec.candidates, &self.xs, &ec.values, self.criterion, tx),
+                model: select(&ec.candidates, &ec.values),
                 values: ec.values.clone(),
                 influence: ec.influence,
             })
@@ -405,45 +365,26 @@ impl SignatureCandidates {
             .blocks
             .iter()
             .map(|bc| BlockModels {
-                invocations: select_best_from(
-                    &bc.invocations,
-                    &self.xs,
-                    &bc.invocation_values,
-                    self.criterion,
-                    tx,
-                ),
-                iterations: select_best_from(
-                    &bc.iterations,
-                    &self.xs,
-                    &bc.iteration_values,
-                    self.criterion,
-                    tx,
-                ),
+                invocations: select(&bc.invocations, &bc.invocation_values),
+                iterations: select(&bc.iterations, &bc.iteration_values),
             })
             .collect();
         record_fit_decisions(&fits, obs);
-        Ok(SignatureFit {
+        SignatureFit {
             base: self.base.clone(),
             target_x: tx,
-            out_nranks: target,
+            out_nranks,
             fits,
             block_models,
-        })
+        }
     }
 }
 
-/// Fits the target-independent candidate sets of every element — the shared
-/// prefix of a multi-target sweep. See [`SignatureCandidates`].
-pub fn fit_signature_candidates(
-    traces: &[TaskTrace],
-    cfg: &ExtrapolationConfig,
-) -> Result<SignatureCandidates, ExtrapolationError> {
-    fit_signature_candidates_obs(traces, cfg, &ObsContext::disabled())
-}
-
-/// [`fit_signature_candidates`] recording fit telemetry
-/// (`extrap.elements_fit`, the scheduling-path marker) into `obs`; the
-/// per-element decisions are recorded by [`SignatureCandidates::select_obs`].
+/// Fits the target-independent candidate sets of every element — the
+/// shared prefix of a multi-target sweep (see [`SignatureCandidates`]) —
+/// recording fit telemetry (`extrap.elements_fit`, the scheduling-path
+/// marker) into `obs`; the per-element decisions are recorded by
+/// [`SignatureCandidates::select_obs`].
 pub fn fit_signature_candidates_obs(
     traces: &[TaskTrace],
     cfg: &ExtrapolationConfig,
@@ -463,79 +404,8 @@ pub fn fit_signature_candidates_obs(
         }
     }
     validate_family(&sorted)?;
-    let base = *sorted.last().expect("nonempty");
     let xs: Vec<f64> = sorted.iter().map(|t| f64::from(t.nranks)).collect();
-    let feature_ids = FeatureId::all(base.depth);
-
-    let pairs: Vec<(usize, usize, usize)> = base
-        .blocks
-        .iter()
-        .enumerate()
-        .flat_map(|(bi, bb)| (0..bb.instrs.len()).map(move |ii| (bi, ii)))
-        .enumerate()
-        .map(|(p, (bi, ii))| (p, bi, ii))
-        .collect();
-    let series = ElementSeries::gather(&sorted, &feature_ids);
-    let fit_one = |&(p, bi, ii): &(usize, usize, usize)| -> Vec<ElementCandidates> {
-        let bb = &base.blocks[bi];
-        let influence = base.influence(&bb.instrs[ii].features);
-        feature_ids
-            .iter()
-            .enumerate()
-            .map(|(fi, &fid)| {
-                let ys = series.ys(p, fi);
-                ElementCandidates {
-                    block: bb.name.clone(),
-                    instr: ii as u32,
-                    feature: fid,
-                    candidates: fit_all(&cfg.forms, &xs, ys),
-                    values: ys.to_vec(),
-                    influence,
-                }
-            })
-            .collect()
-    };
-    let parallel = parallel_fit_enabled(pairs.len() * feature_ids.len());
-    let elements: Vec<ElementCandidates> = if parallel {
-        pairs
-            .par_iter()
-            .map(fit_one)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        pairs.iter().flat_map(fit_one).collect()
-    };
-
-    let blocks = (0..base.blocks.len())
-        .map(|bi| {
-            let invocation_values: Vec<f64> = sorted
-                .iter()
-                .map(|t| t.blocks[bi].invocations as f64)
-                .collect();
-            let iteration_values: Vec<f64> = sorted
-                .iter()
-                .map(|t| t.blocks[bi].iterations as f64)
-                .collect();
-            BlockCandidates {
-                invocations: fit_all(&cfg.forms, &xs, &invocation_values),
-                iterations: fit_all(&cfg.forms, &xs, &iteration_values),
-                invocation_values,
-                iteration_values,
-            }
-        })
-        .collect();
-
-    record_fit_path(parallel, elements.len(), obs);
-
-    Ok(SignatureCandidates {
-        base: base.clone(),
-        xs,
-        criterion: cfg.criterion,
-        elements,
-        blocks,
-    })
+    Ok(fit_candidates(&sorted, xs, cfg, obs))
 }
 
 /// Generic-series extrapolation: the same per-element methodology over an
@@ -551,15 +421,6 @@ pub fn extrapolate_series(
     target_x: f64,
     cfg: &ExtrapolationConfig,
 ) -> Result<TaskTrace, ExtrapolationError> {
-    extrapolate_series_detailed(points, target_x, cfg).map(|(t, _)| t)
-}
-
-/// [`extrapolate_series`] with the per-element fit report.
-pub fn extrapolate_series_detailed(
-    points: &[(f64, TaskTrace)],
-    target_x: f64,
-    cfg: &ExtrapolationConfig,
-) -> Result<(TaskTrace, Vec<ElementFit>), ExtrapolationError> {
     if points.len() < cfg.min_traces.max(1) {
         return Err(ExtrapolationError::TooFewTraces {
             got: points.len(),
@@ -588,17 +449,10 @@ pub fn extrapolate_series_detailed(
         });
     }
     let xs: Vec<f64> = order.iter().map(|(x, _)| *x).collect();
-    let out_nranks = sorted.last().expect("nonempty").nranks;
-    let fit = fit_sorted(
-        &sorted,
-        &xs,
-        target_x,
-        out_nranks,
-        cfg,
-        &ObsContext::disabled(),
-    );
-    let trace = synthesize_from_fit(&fit);
-    Ok((trace, fit.fits))
+    let obs = ObsContext::disabled();
+    let candidates = fit_candidates(&sorted, xs, cfg, &obs);
+    let fit = candidates.select_at(target_x, candidates.base.nranks, &obs);
+    Ok(synthesize_from_fit(&fit))
 }
 
 /// Checks that the traces form one family: same application, same target
@@ -664,7 +518,7 @@ struct ElementSeries {
 impl ElementSeries {
     /// Gathers the matrix from the sorted training family. Pair order is
     /// blocks in trace order, instructions in block order — the same
-    /// flattening [`TraceColumns`] uses and `fit_sorted`'s `pairs` vec
+    /// flattening [`TraceColumns`] uses and `fit_candidates`' `pairs` vec
     /// enumerates.
     fn gather(sorted: &[&TaskTrace], feature_ids: &[FeatureId]) -> Self {
         let n_traces = sorted.len();
@@ -695,43 +549,6 @@ impl ElementSeries {
         let start = (pair * self.n_features + fi) * self.n_traces;
         &self.data[start..start + self.n_traces]
     }
-}
-
-/// Fits every element of one instruction, reading each element's series
-/// as a contiguous slice of the pre-gathered [`ElementSeries`].
-///
-/// Pure function of its inputs, so instructions can be fitted in parallel;
-/// the returned fits are in `feature_ids` order.
-#[allow(clippy::too_many_arguments)]
-fn fit_instr(
-    sorted: &[&TaskTrace],
-    series: &ElementSeries,
-    pair: usize,
-    xs: &[f64],
-    tx: f64,
-    cfg: &ExtrapolationConfig,
-    feature_ids: &[FeatureId],
-    bi: usize,
-    ii: usize,
-) -> Vec<ElementFit> {
-    let base = *sorted.last().expect("nonempty");
-    let bb = &base.blocks[bi];
-    let base_instr = &bb.instrs[ii];
-    let influence = base.influence(&base_instr.features);
-    let mut fits = Vec::with_capacity(feature_ids.len());
-    for (fi, &fid) in feature_ids.iter().enumerate() {
-        let ys = series.ys(pair, fi);
-        let model = select_best_guarded(&cfg.forms, xs, ys, cfg.criterion, tx);
-        fits.push(ElementFit {
-            block: bb.name.clone(),
-            instr: ii as u32,
-            feature: fid,
-            model,
-            values: ys.to_vec(),
-            influence,
-        });
-    }
-    fits
 }
 
 /// Fewest element fits for which the rayon fan-out pays for itself.
@@ -822,21 +639,20 @@ fn record_fit_decisions(fits: &[ElementFit], obs: &ObsContext) {
     }
 }
 
-/// The fitting core: fit every element over `xs` and bundle the models.
+/// The fitting core: fits every applicable form to every element's
+/// training series over the sorted, validated family.
 ///
 /// Instructions are independent fitting problems, so the element fits fan
 /// out over `(block, instruction)` pairs with rayon — but only when the
 /// fan-out can pay for itself (see [`parallel_fit_enabled`]). The collect
 /// is ordered and the fits of each pair are concatenated in pair order, so
 /// the output is bit-identical to serial evaluation at any thread count.
-fn fit_sorted(
+fn fit_candidates(
     sorted: &[&TaskTrace],
-    xs: &[f64],
-    tx: f64,
-    out_nranks: u32,
+    xs: Vec<f64>,
     cfg: &ExtrapolationConfig,
     obs: &ObsContext,
-) -> SignatureFit {
+) -> SignatureCandidates {
     let base = *sorted.last().expect("nonempty");
     let feature_ids = FeatureId::all(base.depth);
 
@@ -853,58 +669,66 @@ fn fit_sorted(
     // One columnar gather up front: after this, no fit touches a trace
     // record again — every series is a contiguous slice.
     let series = ElementSeries::gather(sorted, &feature_ids);
+    let fit_one = |&(p, bi, ii): &(usize, usize, usize)| -> Vec<ElementCandidates> {
+        let bb = &base.blocks[bi];
+        let influence = base.influence(&bb.instrs[ii].features);
+        feature_ids
+            .iter()
+            .enumerate()
+            .map(|(fi, &fid)| {
+                let ys = series.ys(p, fi);
+                ElementCandidates {
+                    block: bb.name.clone(),
+                    instr: ii as u32,
+                    feature: fid,
+                    candidates: fit_all(&cfg.forms, &xs, ys),
+                    values: ys.to_vec(),
+                    influence,
+                }
+            })
+            .collect()
+    };
     let parallel = parallel_fit_enabled(pairs.len() * feature_ids.len());
-    let fits: Vec<ElementFit> = if parallel {
+    let elements: Vec<ElementCandidates> = if parallel {
         pairs
             .par_iter()
-            .map(|&(p, bi, ii)| fit_instr(sorted, &series, p, xs, tx, cfg, &feature_ids, bi, ii))
+            .map(fit_one)
             .collect::<Vec<_>>()
             .into_iter()
             .flatten()
             .collect()
     } else {
-        pairs
-            .iter()
-            .flat_map(|&(p, bi, ii)| {
-                fit_instr(sorted, &series, p, xs, tx, cfg, &feature_ids, bi, ii)
-            })
-            .collect()
+        pairs.iter().flat_map(fit_one).collect()
     };
 
-    record_fit_path(parallel, fits.len(), obs);
-    record_fit_decisions(&fits, obs);
-
     // Block-level invocation/iteration counts get the same treatment.
-    let block_models = (0..base.blocks.len())
+    let blocks = (0..base.blocks.len())
         .map(|bi| {
-            let series = |f: &dyn Fn(&TaskTrace) -> f64| -> Vec<f64> {
-                sorted.iter().map(|t| f(t)).collect()
-            };
-            BlockModels {
-                invocations: select_best_guarded(
-                    &cfg.forms,
-                    xs,
-                    &series(&|t| t.blocks[bi].invocations as f64),
-                    cfg.criterion,
-                    tx,
-                ),
-                iterations: select_best_guarded(
-                    &cfg.forms,
-                    xs,
-                    &series(&|t| t.blocks[bi].iterations as f64),
-                    cfg.criterion,
-                    tx,
-                ),
+            let invocation_values: Vec<f64> = sorted
+                .iter()
+                .map(|t| t.blocks[bi].invocations as f64)
+                .collect();
+            let iteration_values: Vec<f64> = sorted
+                .iter()
+                .map(|t| t.blocks[bi].iterations as f64)
+                .collect();
+            BlockCandidates {
+                invocations: fit_all(&cfg.forms, &xs, &invocation_values),
+                iterations: fit_all(&cfg.forms, &xs, &iteration_values),
+                invocation_values,
+                iteration_values,
             }
         })
         .collect();
 
-    SignatureFit {
+    record_fit_path(parallel, elements.len(), obs);
+
+    SignatureCandidates {
         base: base.clone(),
-        target_x: tx,
-        out_nranks,
-        fits,
-        block_models,
+        xs,
+        criterion: cfg.criterion,
+        elements,
+        blocks,
     }
 }
 
@@ -978,7 +802,7 @@ pub fn synthesize_from_fit(fit: &SignatureFit) -> TaskTrace {
 /// training-point residuals, and the extrapolation distance.
 ///
 /// `xs` are the training core counts in ascending order — the same
-/// abscissas [`fit_signature`] fitted over. Elements whose stored value
+/// abscissas [`fit_signature_obs`] fitted over. Elements whose stored value
 /// series does not match `xs` in length (foreign `SignatureFit`s) get
 /// empty candidate/residual lists rather than wrong numbers.
 ///
@@ -1043,6 +867,7 @@ pub fn diagnose_fit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fit::select_best_guarded;
     use xtrace_ir::SourceLoc;
     use xtrace_tracer::{BlockRecord, FeatureVector, InstrRecord};
 
@@ -1144,7 +969,9 @@ mod tests {
     #[test]
     fn detailed_reports_chosen_forms() {
         let cfg = ExtrapolationConfig::default();
-        let (_, fits) = extrapolate_signature_detailed(&training(), 8192, &cfg).unwrap();
+        let fits = fit_signature_obs(&training(), 8192, &cfg, &ObsContext::disabled())
+            .unwrap()
+            .fits;
         let find = |fid: FeatureId| fits.iter().find(|f| f.feature == fid).unwrap();
         assert_eq!(
             find(FeatureId::HitRate(0)).model.form,
@@ -1337,10 +1164,18 @@ mod tests {
     }
 
     #[test]
-    fn candidate_selection_matches_per_target_fitting_bitwise() {
-        // The sweep prefix (fit once) + per-target selection must reproduce
-        // the per-target fit exactly — models, values, block models, all of
-        // it — for every target and for both the paper and extended sets.
+    fn selected_models_match_guarded_selection_on_each_series() {
+        // Fitting the candidates once and selecting per target must pick,
+        // for every element and block series, exactly the model that a
+        // fresh guarded selection over that series' own training values
+        // picks — for every target and both the paper and extended sets.
+        let traces = training();
+        let mut sorted: Vec<&TaskTrace> = traces.iter().collect();
+        sorted.sort_by_key(|t| t.nranks);
+        let xs: Vec<f64> = sorted.iter().map(|t| f64::from(t.nranks)).collect();
+        let block_series = |bi: usize, f: &dyn Fn(&BlockRecord) -> u64| -> Vec<f64> {
+            sorted.iter().map(|t| f(&t.blocks[bi]) as f64).collect()
+        };
         for forms in [
             CanonicalForm::PAPER_SET.to_vec(),
             CanonicalForm::EXTENDED_SET.to_vec(),
@@ -1349,13 +1184,40 @@ mod tests {
                 forms,
                 ..Default::default()
             };
-            let traces = training();
-            let candidates = fit_signature_candidates(&traces, &cfg).unwrap();
+            let candidates =
+                fit_signature_candidates_obs(&traces, &cfg, &ObsContext::disabled()).unwrap();
+            let reference =
+                |ys: &[f64], tx: f64| select_best_guarded(&cfg.forms, &xs, ys, cfg.criterion, tx);
             for target in [8192, 16384, 65536] {
-                let swept = candidates.select(target).unwrap();
-                let direct = fit_signature(&traces, target, &cfg).unwrap();
-                assert_eq!(swept, direct, "target {target}");
-                assert_eq!(synthesize_from_fit(&swept), synthesize_from_fit(&direct));
+                let tx = f64::from(target);
+                let fit = candidates
+                    .select_obs(target, &ObsContext::disabled())
+                    .unwrap();
+                assert_eq!(fit.fits.len(), candidates.elements.len());
+                for ef in &fit.fits {
+                    let instr =
+                        &sorted.last().unwrap().block(&ef.block).unwrap().instrs[ef.instr as usize];
+                    let ys: Vec<f64> = sorted
+                        .iter()
+                        .map(|t| {
+                            t.block(&ef.block).unwrap().instrs[ef.instr as usize]
+                                .features
+                                .get(ef.feature)
+                        })
+                        .collect();
+                    assert_eq!(ef.values, ys);
+                    assert_eq!(
+                        ef.influence,
+                        sorted.last().unwrap().influence(&instr.features)
+                    );
+                    assert_eq!(ef.model, reference(&ys, tx), "{ef:?} at {target}");
+                }
+                for (bi, bm) in fit.block_models.iter().enumerate() {
+                    let invocations = block_series(bi, &|b| b.invocations);
+                    let iterations = block_series(bi, &|b| b.iterations);
+                    assert_eq!(bm.invocations, reference(&invocations, tx));
+                    assert_eq!(bm.iterations, reference(&iterations, tx));
+                }
             }
         }
     }
@@ -1363,9 +1225,12 @@ mod tests {
     #[test]
     fn candidate_selection_rejects_target_not_larger() {
         let cfg = ExtrapolationConfig::default();
-        let candidates = fit_signature_candidates(&training(), &cfg).unwrap();
+        let candidates =
+            fit_signature_candidates_obs(&training(), &cfg, &ObsContext::disabled()).unwrap();
         assert_eq!(
-            candidates.select(4096).unwrap_err(),
+            candidates
+                .select_obs(4096, &ObsContext::disabled())
+                .unwrap_err(),
             ExtrapolationError::TargetNotLarger {
                 target: 4096,
                 max_input: 4096
@@ -1379,12 +1244,12 @@ mod tests {
         let mut t = training();
         t[1].blocks[0].name = "other".into();
         assert!(matches!(
-            fit_signature_candidates(&t, &cfg),
+            fit_signature_candidates_obs(&t, &cfg, &ObsContext::disabled()),
             Err(ExtrapolationError::MismatchedBlocks { .. })
         ));
         let t = training();
         assert!(matches!(
-            fit_signature_candidates(&t[..2], &cfg),
+            fit_signature_candidates_obs(&t[..2], &cfg, &ObsContext::disabled()),
             Err(ExtrapolationError::TooFewTraces { got: 2, need: 3 })
         ));
     }
@@ -1393,7 +1258,7 @@ mod tests {
     fn diagnose_fit_reports_candidates_residuals_and_distance() {
         let traces = training();
         let cfg = ExtrapolationConfig::default();
-        let fit = fit_signature(&traces, 8192, &cfg).unwrap();
+        let fit = fit_signature_obs(&traces, 8192, &cfg, &ObsContext::disabled()).unwrap();
         let xs: Vec<f64> = {
             let mut xs: Vec<f64> = traces.iter().map(|t| f64::from(t.nranks)).collect();
             xs.sort_by(f64::total_cmp);

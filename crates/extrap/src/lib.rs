@@ -38,11 +38,10 @@ pub mod synth;
 pub use analysis::{element_errors, summarize, ElementError, ErrorSummary};
 pub use cluster::{cluster_tasks, extrapolate_clusters, Clustering};
 pub use extrapolate::{
-    diagnose_fit, extrapolate_series, extrapolate_series_detailed, extrapolate_signature,
-    extrapolate_signature_detailed, fit_signature, fit_signature_candidates,
-    fit_signature_candidates_obs, fit_signature_obs, parallel_fit_enabled, synthesize_from_fit,
-    BlockCandidates, BlockModels, ElementCandidates, ElementFit, ExtrapolationConfig,
-    ExtrapolationError, SignatureCandidates, SignatureFit, MIN_PAR_FIT_ELEMENTS,
+    diagnose_fit, extrapolate_series, extrapolate_signature, fit_signature_candidates_obs,
+    fit_signature_obs, parallel_fit_enabled, synthesize_from_fit, BlockCandidates, BlockModels,
+    ElementCandidates, ElementFit, ExtrapolationConfig, ExtrapolationError, SignatureCandidates,
+    SignatureFit, MIN_PAR_FIT_ELEMENTS,
 };
 pub use fit::{
     fit_all, fit_form, select_best, select_best_from, select_best_guarded, SelectionCriterion,

@@ -38,8 +38,8 @@ pub struct FitReport {
 }
 
 impl FitReport {
-    /// Builds the report from the fits of
-    /// [`crate::extrapolate_signature_detailed`] (or the series variant).
+    /// Builds the report from the fits of [`crate::fit_signature_obs`]
+    /// ([`crate::SignatureFit::fits`]).
     pub fn from_fits(fits: &[ElementFit], threshold: f64) -> Self {
         let mut form_counts = BTreeMap::new();
         let mut influential_form_counts = BTreeMap::new();
@@ -125,8 +125,9 @@ impl FitReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extrapolate::{extrapolate_signature_detailed, ExtrapolationConfig};
+    use crate::extrapolate::{fit_signature_obs, ExtrapolationConfig};
     use xtrace_ir::SourceLoc;
+    use xtrace_obs::ObsContext;
     use xtrace_tracer::{BlockRecord, FeatureVector, InstrRecord, TaskTrace};
 
     fn trace_at(p: u32) -> TaskTrace {
@@ -163,9 +164,14 @@ mod tests {
 
     fn report() -> FitReport {
         let traces = vec![trace_at(1024), trace_at(2048), trace_at(4096)];
-        let (_t, fits) =
-            extrapolate_signature_detailed(&traces, 8192, &ExtrapolationConfig::default()).unwrap();
-        FitReport::from_fits(&fits, 0.001)
+        let fit = fit_signature_obs(
+            &traces,
+            8192,
+            &ExtrapolationConfig::default(),
+            &ObsContext::disabled(),
+        )
+        .unwrap();
+        FitReport::from_fits(&fit.fits, 0.001)
     }
 
     #[test]

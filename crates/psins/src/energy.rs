@@ -118,12 +118,19 @@ mod tests {
     use xtrace_extrap::{extrapolate_signature, ExtrapolationConfig};
     use xtrace_machine::presets;
     use xtrace_obs::ObsContext;
-    use xtrace_tracer::{collect_signature_with, TracerConfig};
+    use xtrace_tracer::{collect_signature_memo_obs, SigMemo, TracerConfig};
 
     fn stencil_energy(p: u32) -> EnergyPrediction {
         let app = StencilProxy::medium();
         let machine = presets::cray_xt5();
-        let sig = collect_signature_with(&app, p, &machine, &TracerConfig::fast());
+        let sig = collect_signature_memo_obs(
+            &app,
+            p,
+            &machine,
+            &TracerConfig::fast(),
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         try_predict_energy(sig.longest_task(), &sig.comm, &machine).expect("machine matches")
     }
 
@@ -157,6 +164,7 @@ mod tests {
 
     #[test]
     fn extrapolated_energy_matches_collected_energy() {
+        let obs = ObsContext::disabled();
         // The headline extension: energy at scale from the synthetic trace.
         let mut app = SpecfemProxy::small();
         app.cfg.total_elements = 6144;
@@ -167,14 +175,14 @@ mod tests {
         let training: Vec<_> = [6u32, 24, 96]
             .iter()
             .map(|&p| {
-                collect_signature_with(&app, p, &machine, &cfg)
+                collect_signature_memo_obs(&app, p, &machine, &cfg, &SigMemo::new(), &obs)
                     .longest_task()
                     .clone()
             })
             .collect();
         let ex = extrapolate_signature(&training, 384, &ExtrapolationConfig::default()).unwrap();
-        let coll = collect_signature_with(&app, 384, &machine, &cfg);
-        let comm = xtrace_spmd::profile(&app, 384, &profiling_net(), &ObsContext::disabled());
+        let coll = collect_signature_memo_obs(&app, 384, &machine, &cfg, &SigMemo::new(), &obs);
+        let comm = xtrace_spmd::profile(&app, 384, &profiling_net(), &obs);
         let e_ex = try_predict_energy(&ex, &comm, &machine).expect("machine matches");
         let e_coll =
             try_predict_energy(coll.longest_task(), &coll.comm, &machine).expect("machine matches");
@@ -191,7 +199,14 @@ mod tests {
     fn worse_locality_costs_more_energy() {
         let app = StencilProxy::medium();
         let machine = presets::cray_xt5();
-        let sig = collect_signature_with(&app, 4, &machine, &TracerConfig::fast());
+        let sig = collect_signature_memo_obs(
+            &app,
+            4,
+            &machine,
+            &TracerConfig::fast(),
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let base =
             try_predict_energy(sig.longest_task(), &sig.comm, &machine).expect("machine matches");
         let mut degraded = sig.longest_task().clone();

@@ -20,7 +20,7 @@ use xtrace_ir::AccessStream;
 use xtrace_machine::{MachineProfile, PrefetchState};
 use xtrace_obs::ObsContext;
 use xtrace_spmd::{RankEvent, SpmdApp};
-use xtrace_tracer::{collect_task_trace_memo_obs, rank_stream_seed_for, TracerConfig};
+use xtrace_tracer::{collect_task_trace, rank_stream_seed_for, TracerConfig};
 
 /// The execution-driven "measured" runtime.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,7 +97,7 @@ pub fn ground_truth_for_rank(
     }
 
     // FP time comes from the trace metadata (identical on both paths).
-    let trace = collect_task_trace_memo_obs(app, rank, nranks, machine, cfg, None, obs);
+    let trace = collect_task_trace(app, rank, nranks, machine, cfg, None, obs);
 
     let mut compute_seconds = 0.0;
     for ((&block_id, &inv), record) in order.iter().zip(&invocations).zip(&trace.blocks) {
@@ -152,7 +152,7 @@ mod tests {
     use crate::predict::try_predict_runtime;
     use xtrace_apps::{StencilProxy, Uh3dProxy};
     use xtrace_machine::presets;
-    use xtrace_tracer::collect_signature_with;
+    use xtrace_tracer::{collect_signature_memo_obs, SigMemo};
 
     #[test]
     fn ground_truth_is_positive_and_decomposes() {
@@ -172,15 +172,16 @@ mod tests {
 
     #[test]
     fn prediction_tracks_ground_truth_within_modeling_error() {
+        let obs = ObsContext::disabled();
         // The headline property: the convolution must land near the
         // execution-driven measurement (the paper's framework reports
         // "usually less than 15% absolute relative error").
         let app = StencilProxy::medium();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
-        let sig = collect_signature_with(&app, 8, &machine, &cfg);
+        let sig = collect_signature_memo_obs(&app, 8, &machine, &cfg, &SigMemo::new(), &obs);
         let pred = try_predict_runtime(sig.longest_task(), &sig.comm, &machine).unwrap();
-        let gt = ground_truth(&app, 8, &machine, &cfg, &ObsContext::disabled());
+        let gt = ground_truth(&app, 8, &machine, &cfg, &obs);
         let err = crate::relative_error(pred.total_seconds, gt.total_seconds);
         assert!(
             err < 0.25,
@@ -206,21 +207,23 @@ mod tests {
 
     #[test]
     fn ground_truth_is_deterministic() {
+        let obs = ObsContext::disabled();
         let app = StencilProxy::small();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
-        let a = ground_truth(&app, 2, &machine, &cfg, &ObsContext::disabled());
-        let b = ground_truth(&app, 2, &machine, &cfg, &ObsContext::disabled());
+        let a = ground_truth(&app, 2, &machine, &cfg, &obs);
+        let b = ground_truth(&app, 2, &machine, &cfg, &obs);
         assert_eq!(a, b);
     }
 
     #[test]
     fn more_cores_reduce_measured_compute() {
+        let obs = ObsContext::disabled();
         let app = StencilProxy::medium();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
-        let gt4 = ground_truth(&app, 4, &machine, &cfg, &ObsContext::disabled());
-        let gt16 = ground_truth(&app, 16, &machine, &cfg, &ObsContext::disabled());
+        let gt4 = ground_truth(&app, 4, &machine, &cfg, &obs);
+        let gt16 = ground_truth(&app, 16, &machine, &cfg, &obs);
         assert!(gt16.compute_seconds < gt4.compute_seconds);
     }
 }

@@ -124,12 +124,20 @@ mod tests {
     use super::*;
     use xtrace_apps::StencilProxy;
     use xtrace_machine::presets;
-    use xtrace_tracer::{collect_signature_with, TracerConfig};
+    use xtrace_obs::ObsContext;
+    use xtrace_tracer::{collect_signature_memo_obs, SigMemo, TracerConfig};
 
     fn predict_stencil(p: u32) -> Prediction {
         let app = StencilProxy::medium();
         let machine = presets::cray_xt5();
-        let sig = collect_signature_with(&app, p, &machine, &TracerConfig::fast());
+        let sig = collect_signature_memo_obs(
+            &app,
+            p,
+            &machine,
+            &TracerConfig::fast(),
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         try_predict_runtime(sig.longest_task(), &sig.comm, &machine).expect("machine matches")
     }
 
@@ -173,7 +181,14 @@ mod tests {
         // Same counts, degraded hit rates -> strictly more memory time.
         let app = StencilProxy::medium();
         let machine = presets::cray_xt5();
-        let sig = collect_signature_with(&app, 4, &machine, &TracerConfig::fast());
+        let sig = collect_signature_memo_obs(
+            &app,
+            4,
+            &machine,
+            &TracerConfig::fast(),
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let base =
             try_predict_runtime(sig.longest_task(), &sig.comm, &machine).expect("machine matches");
         let mut degraded = sig.longest_task().clone();
@@ -192,7 +207,14 @@ mod tests {
     fn wrong_machine_is_a_typed_error() {
         let app = StencilProxy::small();
         let xt5 = presets::cray_xt5();
-        let sig = collect_signature_with(&app, 2, &xt5, &TracerConfig::fast());
+        let sig = collect_signature_memo_obs(
+            &app,
+            2,
+            &xt5,
+            &TracerConfig::fast(),
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let other = presets::opteron();
         let err = try_predict_runtime(sig.longest_task(), &sig.comm, &other).unwrap_err();
         assert_eq!(

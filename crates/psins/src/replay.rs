@@ -369,12 +369,12 @@ fn exact_rank_table(
     machine: &MachineProfile,
     cfg: &TracerConfig,
 ) -> Vec<(String, f64)> {
+    let obs = ObsContext::disabled();
     // One exact execution per rank; apportion its total compute over
     // blocks proportionally to the convolution-free split, then scale so
     // the sum equals the exact total.
-    let trace = xtrace_tracer::collect_task_trace(app, rank, nranks, machine, cfg);
-    let exact_total =
-        ground_truth_for_rank(app, rank, nranks, machine, cfg, &ObsContext::disabled());
+    let trace = xtrace_tracer::collect_task_trace(app, rank, nranks, machine, cfg, None, &obs);
+    let exact_total = ground_truth_for_rank(app, rank, nranks, machine, cfg, &obs);
     let comm = xtrace_spmd::CommProfile {
         nranks,
         longest_rank: rank,
@@ -485,7 +485,7 @@ mod tests {
     use std::sync::Mutex;
     use xtrace_apps::StencilProxy;
     use xtrace_machine::presets;
-    use xtrace_tracer::collect_task_trace;
+    use xtrace_tracer::{collect_task_trace, SigMemo};
 
     fn build(
         groups: &[(TaskTrace, u64)],
@@ -501,10 +501,11 @@ mod tests {
         nranks: u32,
         machine: &MachineProfile,
     ) -> Vec<(TaskTrace, u64)> {
+        let obs = ObsContext::disabled();
         // Two groups: rank 0's trace for the first rank, rank 1's for the rest.
         let cfg = TracerConfig::fast();
-        let t0 = collect_task_trace(app, 0, nranks, machine, &cfg);
-        let t1 = collect_task_trace(app, 1, nranks, machine, &cfg);
+        let t0 = collect_task_trace(app, 0, nranks, machine, &cfg, None, &obs);
+        let t1 = collect_task_trace(app, 1, nranks, machine, &cfg, None, &obs);
         vec![(t0, 1), (t1, u64::from(nranks) - 1)]
     }
 
@@ -530,7 +531,14 @@ mod tests {
         let app = StencilProxy::medium();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
-        let sig = xtrace_tracer::collect_signature_with(&app, 8, &machine, &cfg);
+        let sig = xtrace_tracer::collect_signature_memo_obs(
+            &app,
+            8,
+            &machine,
+            &cfg,
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let single =
             crate::predict::try_predict_runtime(sig.longest_task(), &sig.comm, &machine).unwrap();
         let groups = groups_for(&app, 8, &machine);
@@ -580,7 +588,7 @@ mod tests {
         let app = StencilProxy::small();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
-        let t0 = collect_task_trace(&app, 0, 8, &machine, &cfg);
+        let t0 = collect_task_trace(&app, 0, 8, &machine, &cfg, None, &ObsContext::disabled());
         let err = build(&[(t0, 2)], 8, &machine, None)
             .err()
             .expect("undersized groups must fail");
@@ -599,7 +607,7 @@ mod tests {
         let app = StencilProxy::small();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
-        let t0 = collect_task_trace(&app, 0, 4, &machine, &cfg);
+        let t0 = collect_task_trace(&app, 0, 4, &machine, &cfg, None, &ObsContext::disabled());
         let other = presets::bluewaters_phase1();
         let err = build(&[(t0, 4)], 4, &other, None)
             .err()
@@ -649,11 +657,12 @@ mod tests {
 
     #[test]
     fn group_tables_key_on_machine_and_trace() {
+        let obs = ObsContext::disabled();
         let app = StencilProxy::small();
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
-        let t0 = collect_task_trace(&app, 0, 4, &machine, &cfg);
-        let t1 = collect_task_trace(&app, 1, 4, &machine, &cfg);
+        let t0 = collect_task_trace(&app, 0, 4, &machine, &cfg, None, &obs);
+        let t1 = collect_task_trace(&app, 1, 4, &machine, &cfg, None, &obs);
         let k00 = convolve_key(&t0, &machine);
         let k10 = convolve_key(&t1, &machine);
         assert_ne!(k00, k10, "different traces must not collide");

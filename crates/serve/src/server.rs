@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use xtrace_core::{XtraceEngine, XtraceError};
+use xtrace_core::{PipelineConfig, XtraceEngine, XtraceError};
 use xtrace_obs::{Recorder, Snapshot};
 
 use crate::http::{Conn, HttpError, ReadOutcome, Request, Response};
@@ -417,20 +417,22 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Response {
     response
 }
 
-/// Parses a request body into the v1 DTO (`400` on failure).
-fn parse_request(body: &[u8]) -> Result<ServeRequestV1, Response> {
+/// Parses a request body into the v1 DTO (`400` on failure) and resolves
+/// it into a pipeline config (`422`/`500` on a model-layer failure).
+fn request_config(body: &[u8]) -> Result<PipelineConfig, Response> {
     let text = std::str::from_utf8(body).map_err(|_| {
         Response::json(
             400,
             ServeErrorV1::new("invalid_request", "body is not valid UTF-8").to_json(),
         )
     })?;
-    serde_json::from_str::<ServeRequestV1>(text).map_err(|e| {
+    let request = serde_json::from_str::<ServeRequestV1>(text).map_err(|e| {
         Response::json(
             400,
             ServeErrorV1::new("invalid_request", e.to_string()).to_json(),
         )
-    })
+    })?;
+    request.to_config().map_err(|e| model_error_response(&e))
 }
 
 /// The `422`/`500` answer for a model-layer failure.
@@ -441,13 +443,9 @@ fn model_error_response(e: &XtraceError) -> Response {
 
 /// `POST /v1/predict`: one target through the coalescing engine.
 fn handle_predict(shared: &Arc<Shared>, body: &[u8]) -> Response {
-    let request = match parse_request(body) {
-        Ok(r) => r,
-        Err(response) => return response,
-    };
-    let config = match request.to_config() {
+    let config = match request_config(body) {
         Ok(c) => c,
-        Err(e) => return model_error_response(&e),
+        Err(response) => return response,
     };
     if config.effective_targets().len() > 1 {
         return Response::json(
@@ -471,13 +469,9 @@ fn handle_predict(shared: &Arc<Shared>, body: &[u8]) -> Response {
 
 /// `POST /v1/sweep`: every target over one shared prefix.
 fn handle_sweep(shared: &Arc<Shared>, body: &[u8]) -> Response {
-    let request = match parse_request(body) {
-        Ok(r) => r,
-        Err(response) => return response,
-    };
-    let config = match request.to_config() {
+    let config = match request_config(body) {
         Ok(c) => c,
-        Err(e) => return model_error_response(&e),
+        Err(response) => return response,
     };
     match shared.engine.run_sweep(&config) {
         Ok(outcome) => {

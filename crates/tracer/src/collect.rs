@@ -85,75 +85,12 @@ impl TracerConfig {
 /// Collects the full application signature at `nranks`: runs the
 /// lightweight MPI profiling pass to find the most computationally
 /// demanding task, then traces that task against `machine`'s hierarchy.
-pub fn collect_signature(app: &dyn SpmdApp, nranks: u32, machine: &MachineProfile) -> AppSignature {
-    collect_signature_with(app, nranks, machine, &TracerConfig::default())
-}
-
-/// [`collect_signature`] with explicit tracer parameters.
-pub fn collect_signature_with(
-    app: &dyn SpmdApp,
-    nranks: u32,
-    machine: &MachineProfile,
-    cfg: &TracerConfig,
-) -> AppSignature {
-    collect_signature_with_obs(app, nranks, machine, cfg, &ObsContext::disabled())
-}
-
-/// [`collect_signature_with`] recording into an explicit observability
-/// context.
-pub fn collect_signature_with_obs(
-    app: &dyn SpmdApp,
-    nranks: u32,
-    machine: &MachineProfile,
-    cfg: &TracerConfig,
-    obs: &ObsContext,
-) -> AppSignature {
-    // Journal: one wall-clock duration per collected core count. Emitted
-    // from this serial entry point (never from the per-block rayon
-    // fan-out below it), so the event order is deterministic.
-    let journal = obs.journal();
-    if journal.enabled() {
-        journal.begin(
-            &format!("p{nranks}"),
-            "collect",
-            &[("nranks", f64::from(nranks))],
-        );
-    }
-    let comm = xtrace_spmd::profile(app, nranks, &machine.net, obs);
-    let trace =
-        collect_task_trace_memo_obs(app, comm.longest_rank, nranks, machine, cfg, None, obs);
-    if journal.enabled() {
-        journal.end(
-            &format!("p{nranks}"),
-            "collect",
-            &[
-                ("longest_rank", f64::from(comm.longest_rank)),
-                ("blocks", trace.blocks.len() as f64),
-            ],
-        );
-    }
-    AppSignature {
-        traces: vec![trace],
-        comm,
-    }
-}
-
-/// [`collect_signature_with`] answering block simulations from a
-/// caller-owned [`SigMemo`], so a training sweep over several core counts
-/// reuses identical block simulations across calls (memoization never
-/// changes the result — the key covers every simulation input).
-pub fn collect_signature_memo(
-    app: &dyn SpmdApp,
-    nranks: u32,
-    machine: &MachineProfile,
-    cfg: &TracerConfig,
-    memo: &SigMemo,
-) -> AppSignature {
-    collect_signature_memo_obs(app, nranks, machine, cfg, memo, &ObsContext::disabled())
-}
-
-/// [`collect_signature_memo`] recording into an explicit observability
-/// context.
+///
+/// Block simulations are answered from the caller-owned [`SigMemo`], so a
+/// training sweep over several core counts reuses identical block
+/// simulations across calls (memoization never changes the result — the
+/// key covers every simulation input); a one-off collection passes a fresh
+/// memo.
 pub fn collect_signature_memo_obs(
     app: &dyn SpmdApp,
     nranks: u32,
@@ -162,6 +99,9 @@ pub fn collect_signature_memo_obs(
     memo: &SigMemo,
     obs: &ObsContext,
 ) -> AppSignature {
+    // Journal: one wall-clock duration per collected core count. Emitted
+    // from this serial entry point (never from the per-block rayon
+    // fan-out below it), so the event order is deterministic.
     let journal = obs.journal();
     let (hits_before, misses_before) = (memo.hits(), memo.misses());
     if journal.enabled() {
@@ -172,7 +112,7 @@ pub fn collect_signature_memo_obs(
         );
     }
     let comm = xtrace_spmd::profile(app, nranks, &machine.net, obs);
-    let trace = collect_task_trace_memo_obs(
+    let trace = collect_task_trace(
         app,
         comm.longest_rank,
         nranks,
@@ -210,42 +150,12 @@ pub fn collect_signature_memo_obs(
 
 /// Traces several ranks in parallel (used by the Section-VI clustering
 /// extension, which needs more than the longest task), deduplicating
-/// identical block simulations through a shared [`SigMemo`].
+/// identical block simulations through the shared, caller-owned
+/// [`SigMemo`] — so repeated collections (e.g. the training sweep over
+/// several core counts) reuse block simulations across calls and the
+/// caller can read the hit/miss counters. `obs` is shared across the rank
+/// fan-out (`ObsContext` is `Sync`).
 pub fn collect_ranks(
-    app: &(dyn SpmdApp + Sync),
-    ranks: &[u32],
-    nranks: u32,
-    machine: &MachineProfile,
-    cfg: &TracerConfig,
-) -> Vec<TaskTrace> {
-    collect_ranks_memo(app, ranks, nranks, machine, cfg, &SigMemo::new())
-}
-
-/// [`collect_ranks`] with a caller-owned memo, so repeated collections
-/// (e.g. the training sweep over several core counts) reuse block
-/// simulations across calls and the caller can read the hit/miss counters.
-pub fn collect_ranks_memo(
-    app: &(dyn SpmdApp + Sync),
-    ranks: &[u32],
-    nranks: u32,
-    machine: &MachineProfile,
-    cfg: &TracerConfig,
-    memo: &SigMemo,
-) -> Vec<TaskTrace> {
-    collect_ranks_memo_obs(
-        app,
-        ranks,
-        nranks,
-        machine,
-        cfg,
-        memo,
-        &ObsContext::disabled(),
-    )
-}
-
-/// [`collect_ranks_memo`] reporting into an explicit observability
-/// context (shared across the rank fan-out; `ObsContext` is `Sync`).
-pub fn collect_ranks_memo_obs(
     app: &(dyn SpmdApp + Sync),
     ranks: &[u32],
     nranks: u32,
@@ -256,7 +166,7 @@ pub fn collect_ranks_memo_obs(
 ) -> Vec<TaskTrace> {
     ranks
         .par_iter()
-        .map(|&r| collect_task_trace_memo_obs(app, r, nranks, machine, cfg, Some(memo), obs))
+        .map(|&r| collect_task_trace(app, r, nranks, machine, cfg, Some(memo), obs))
         .collect()
 }
 
@@ -296,42 +206,12 @@ fn class_seed_rank(app: &dyn SpmdApp, rank: u32, nranks: u32) -> u32 {
         .unwrap_or(rank)
 }
 
-/// Traces a single MPI task: the core of the signature pipeline.
+/// Traces a single MPI task: the core of the signature pipeline. Block
+/// simulations are answered from `memo` when one is supplied; memoization
+/// never changes the result, since the key covers every input of the
+/// simulation (see [`crate::memo`]). Block-simulation telemetry goes to
+/// `obs`.
 pub fn collect_task_trace(
-    app: &dyn SpmdApp,
-    rank: u32,
-    nranks: u32,
-    machine: &MachineProfile,
-    cfg: &TracerConfig,
-) -> TaskTrace {
-    collect_task_trace_memo(app, rank, nranks, machine, cfg, None)
-}
-
-/// [`collect_task_trace`] answering block simulations from `memo` when one
-/// is supplied. Memoization never changes the result: the key covers every
-/// input of the simulation (see [`crate::memo`]).
-pub fn collect_task_trace_memo(
-    app: &dyn SpmdApp,
-    rank: u32,
-    nranks: u32,
-    machine: &MachineProfile,
-    cfg: &TracerConfig,
-    memo: Option<&SigMemo>,
-) -> TaskTrace {
-    collect_task_trace_memo_obs(
-        app,
-        rank,
-        nranks,
-        machine,
-        cfg,
-        memo,
-        &ObsContext::disabled(),
-    )
-}
-
-/// [`collect_task_trace_memo`] recording block-simulation telemetry into
-/// an explicit observability context.
-pub fn collect_task_trace_memo_obs(
     app: &dyn SpmdApp,
     rank: u32,
     nranks: u32,
@@ -677,9 +557,14 @@ mod tests {
         }
     }
 
+    /// Traces `rank` of a 4-rank job on the test machine, unmemoized.
+    fn trace(app: &dyn SpmdApp, rank: u32, cfg: &TracerConfig) -> TaskTrace {
+        collect_task_trace(app, rank, 4, &machine(), cfg, None, &ObsContext::disabled())
+    }
+
     #[test]
     fn counts_are_exact_and_events_fold() {
-        let t = collect_task_trace(&TwoRegion, 0, 4, &machine(), &TracerConfig::fast());
+        let t = trace(&TwoRegion, 0, &TracerConfig::fast());
         assert_eq!(t.blocks.len(), 1);
         let b = &t.blocks[0];
         assert_eq!(b.invocations, 10, "two Compute events folded");
@@ -694,7 +579,7 @@ mod tests {
 
     #[test]
     fn hit_rates_reflect_residency() {
-        let t = collect_task_trace(&TwoRegion, 0, 4, &machine(), &TracerConfig::fast());
+        let t = trace(&TwoRegion, 0, &TracerConfig::fast());
         let b = &t.blocks[0];
         let hot = &b.instrs[0].features;
         let cold = &b.instrs[1].features;
@@ -717,7 +602,7 @@ mod tests {
 
     #[test]
     fn working_set_is_region_footprint() {
-        let t = collect_task_trace(&TwoRegion, 0, 4, &machine(), &TracerConfig::fast());
+        let t = trace(&TwoRegion, 0, &TracerConfig::fast());
         let b = &t.blocks[0];
         assert_eq!(b.instrs[0].features.working_set, 2048.0);
         assert_eq!(b.instrs[1].features.working_set, 1048576.0);
@@ -726,7 +611,7 @@ mod tests {
 
     #[test]
     fn pattern_labels_recorded() {
-        let t = collect_task_trace(&TwoRegion, 0, 4, &machine(), &TracerConfig::fast());
+        let t = trace(&TwoRegion, 0, &TracerConfig::fast());
         let b = &t.blocks[0];
         assert_eq!(b.instrs[0].pattern, "strided");
         assert_eq!(b.instrs[1].pattern, "random");
@@ -735,17 +620,16 @@ mod tests {
 
     #[test]
     fn collection_is_deterministic() {
-        let a = collect_task_trace(&TwoRegion, 0, 4, &machine(), &TracerConfig::fast());
-        let b = collect_task_trace(&TwoRegion, 0, 4, &machine(), &TracerConfig::fast());
+        let a = trace(&TwoRegion, 0, &TracerConfig::fast());
+        let b = trace(&TwoRegion, 0, &TracerConfig::fast());
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_ranks_get_different_random_streams_but_same_counts() {
-        let m = machine();
         let cfg = TracerConfig::fast();
-        let a = collect_task_trace(&TwoRegion, 0, 4, &m, &cfg);
-        let b = collect_task_trace(&TwoRegion, 1, 4, &m, &cfg);
+        let a = trace(&TwoRegion, 0, &cfg);
+        let b = trace(&TwoRegion, 1, &cfg);
         assert_eq!(
             a.blocks[0].instrs[0].features.mem_ops,
             b.blocks[0].instrs[0].features.mem_ops
@@ -776,24 +660,55 @@ mod tests {
         // lowest rank (1), so their traces match and rank 3's block
         // simulations are answered entirely from the memo.
         let memo = SigMemo::new();
-        let a = collect_task_trace_memo(&ClassyTwoRegion, 1, 4, &m, &cfg, Some(&memo));
+        let a = collect_task_trace(
+            &ClassyTwoRegion,
+            1,
+            4,
+            &m,
+            &cfg,
+            Some(&memo),
+            &ObsContext::disabled(),
+        );
         let misses_after_first = memo.misses();
-        let b = collect_task_trace_memo(&ClassyTwoRegion, 3, 4, &m, &cfg, Some(&memo));
+        let b = collect_task_trace(
+            &ClassyTwoRegion,
+            3,
+            4,
+            &m,
+            &cfg,
+            Some(&memo),
+            &ObsContext::disabled(),
+        );
         assert_eq!(a.blocks, b.blocks);
         assert_eq!(memo.misses(), misses_after_first, "rank 3 should only hit");
         // A rank of the other class draws a different random stream.
-        let c = collect_task_trace_memo(&ClassyTwoRegion, 2, 4, &m, &cfg, Some(&memo));
+        let c = collect_task_trace(
+            &ClassyTwoRegion,
+            2,
+            4,
+            &m,
+            &cfg,
+            Some(&memo),
+            &ObsContext::disabled(),
+        );
         assert_ne!(a.blocks, c.blocks);
         // The class's lowest member is seeded exactly like the keyless app,
         // so opting in to classes never changes a representative's trace.
-        let plain = collect_task_trace(&TwoRegion, 1, 4, &m, &cfg);
+        let plain = trace(&TwoRegion, 1, &cfg);
         assert_eq!(a.blocks, plain.blocks);
     }
 
     #[test]
     fn signature_contains_longest_task() {
         let m = machine();
-        let sig = collect_signature_with(&TwoRegion, 4, &m, &TracerConfig::fast());
+        let sig = collect_signature_memo_obs(
+            &TwoRegion,
+            4,
+            &m,
+            &TracerConfig::fast(),
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         assert_eq!(sig.traces.len(), 1);
         let t = sig.longest_task();
         assert_eq!(t.rank, sig.comm.longest_rank);
@@ -804,7 +719,15 @@ mod tests {
     #[test]
     fn collect_ranks_traces_each_requested_rank() {
         let m = machine();
-        let traces = collect_ranks(&TwoRegion, &[0, 2, 3], 4, &m, &TracerConfig::fast());
+        let traces = collect_ranks(
+            &TwoRegion,
+            &[0, 2, 3],
+            4,
+            &m,
+            &TracerConfig::fast(),
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         assert_eq!(traces.len(), 3);
         assert_eq!(traces[0].rank, 0);
         assert_eq!(traces[1].rank, 2);
@@ -813,23 +736,18 @@ mod tests {
 
     #[test]
     fn sampling_cap_does_not_change_counts() {
-        let m = machine();
-        let small = collect_task_trace(
+        let small = trace(
             &TwoRegion,
             0,
-            4,
-            &m,
             &TracerConfig {
                 max_sampled_refs_per_block: 1 << 10,
                 seed: 1,
                 ..TracerConfig::default()
             },
         );
-        let large = collect_task_trace(
+        let large = trace(
             &TwoRegion,
             0,
-            4,
-            &m,
             &TracerConfig {
                 max_sampled_refs_per_block: 1 << 20,
                 seed: 1,
@@ -849,7 +767,7 @@ mod tests {
 
     #[test]
     fn hit_rates_beyond_depth_stay_one() {
-        let t = collect_task_trace(&TwoRegion, 0, 4, &machine(), &TracerConfig::fast());
+        let t = trace(&TwoRegion, 0, &TracerConfig::fast());
         for b in &t.blocks {
             for i in &b.instrs {
                 assert_eq!(i.features.hit_rates[2], 1.0);
@@ -866,7 +784,7 @@ mod tests {
     fn per_block_caches_match_shared_cache_within_tolerance() {
         let m = machine();
         let cfg = TracerConfig::fast();
-        let t = collect_task_trace(&TwoBlocks, 0, 4, &m, &cfg);
+        let t = trace(&TwoBlocks, 0, &cfg);
 
         // Shared-cache reference: replicate the sampling windows with one
         // hierarchy carried across blocks.
@@ -915,25 +833,24 @@ mod tests {
     /// collected trace is bit-identical to the direct unbuffered path.
     #[test]
     fn streaming_chunks_are_bit_identical_to_direct() {
-        let m = machine();
         let direct = TracerConfig {
             stream_chunk_refs: 0,
             ..TracerConfig::fast()
         };
-        let ref_two_region = collect_task_trace(&TwoRegion, 0, 4, &m, &direct);
-        let ref_two_blocks = collect_task_trace(&TwoBlocks, 1, 4, &m, &direct);
+        let ref_two_region = trace(&TwoRegion, 0, &direct);
+        let ref_two_blocks = trace(&TwoBlocks, 1, &direct);
         for chunk in [1u64, 7, 1 << 6, 1 << 12, 1 << 22] {
             let cfg = TracerConfig {
                 stream_chunk_refs: chunk,
                 ..TracerConfig::fast()
             };
             assert_eq!(
-                collect_task_trace(&TwoRegion, 0, 4, &m, &cfg),
+                trace(&TwoRegion, 0, &cfg),
                 ref_two_region,
                 "chunk {chunk} perturbed TwoRegion"
             );
             assert_eq!(
-                collect_task_trace(&TwoBlocks, 1, 4, &m, &cfg),
+                trace(&TwoBlocks, 1, &cfg),
                 ref_two_blocks,
                 "chunk {chunk} perturbed TwoBlocks"
             );
@@ -951,7 +868,7 @@ mod tests {
             stream_chunk_refs: 64,
             ..TracerConfig::fast()
         };
-        let _ = collect_task_trace_memo_obs(&TwoRegion, 0, 4, &m, &cfg, None, &obs);
+        let _ = collect_task_trace(&TwoRegion, 0, 4, &m, &cfg, None, &obs);
         let peak = metrics.gauge("tracer.ring.peak_refs").get();
         let cap = metrics.gauge("tracer.ring.capacity_refs").get();
         assert!(peak > 0, "streaming path must report an occupancy");
@@ -962,16 +879,32 @@ mod tests {
     fn memo_reuses_identical_simulations_without_changing_results() {
         let m = machine();
         let cfg = TracerConfig::fast();
-        let memo = SigMemo::new();
-        let plain = collect_task_trace(&TwoRegion, 0, 4, &m, &cfg);
-        let first = collect_task_trace_memo(&TwoRegion, 0, 4, &m, &cfg, Some(&memo));
-        let second = collect_task_trace_memo(&TwoRegion, 0, 4, &m, &cfg, Some(&memo));
+        let (memo, obs) = (SigMemo::new(), ObsContext::disabled());
+        let plain = trace(&TwoRegion, 0, &cfg);
+        let first = collect_task_trace(&TwoRegion, 0, 4, &m, &cfg, Some(&memo), &obs);
+        let second = collect_task_trace(&TwoRegion, 0, 4, &m, &cfg, Some(&memo), &obs);
         assert_eq!(first, plain, "memoized collection must be bit-identical");
         assert_eq!(second, plain);
         assert_eq!(memo.misses(), 1, "one unique block simulated once");
         assert_eq!(memo.hits(), 1, "second collection answered from memo");
         assert_eq!(memo.len(), 1);
         assert!((memo.hit_rate() - 0.5).abs() < 1e-12);
+        // A one-off signature collection through a fresh memo equals the
+        // unmemoized composition: profile, then trace the longest rank.
+        for app in [&TwoRegion as &dyn SpmdApp, &TwoBlocks] {
+            let sig = collect_signature_memo_obs(app, 4, &m, &cfg, &SigMemo::new(), &obs);
+            let comm = xtrace_spmd::profile(app, 4, &m.net, &obs);
+            let longest = trace(app, comm.longest_rank, &cfg);
+            assert_eq!(
+                sig,
+                AppSignature {
+                    traces: vec![longest],
+                    comm
+                },
+                "{}",
+                app.name()
+            );
+        }
     }
 
     #[test]
@@ -981,7 +914,15 @@ mod tests {
         let memo = SigMemo::new();
         // TwoBlocks has no Random patterns: the per-rank seed does not
         // reach any address, so other ranks replay rank 0's simulations.
-        let traces = collect_ranks_memo(&TwoBlocks, &[0, 1, 2, 3], 4, &m, &cfg, &memo);
+        let traces = collect_ranks(
+            &TwoBlocks,
+            &[0, 1, 2, 3],
+            4,
+            &m,
+            &cfg,
+            &memo,
+            &ObsContext::disabled(),
+        );
         assert_eq!(traces.len(), 4);
         assert_eq!(memo.len(), 2, "two unique blocks in the whole job");
         assert_eq!(memo.misses(), 2);
@@ -999,7 +940,15 @@ mod tests {
         let m = machine();
         let cfg = TracerConfig::fast();
         let memo = SigMemo::new();
-        let _ = collect_ranks_memo(&TwoRegion, &[0, 1], 4, &m, &cfg, &memo);
+        let _ = collect_ranks(
+            &TwoRegion,
+            &[0, 1],
+            4,
+            &m,
+            &cfg,
+            &memo,
+            &ObsContext::disabled(),
+        );
         // The single block contains a Random-pattern load, whose stream
         // depends on the rank seed: no cross-rank sharing.
         assert_eq!(memo.misses(), 2);

@@ -46,9 +46,13 @@
 //! contention, and a memo answer is bit-identical to recomputing, so
 //! memoization is invisible in the output.
 //!
-//! [`collect_signature`] traces the most computationally demanding task
-//! (identified by the `xtrace-spmd` profiling pass); [`collect_ranks`]
-//! traces any subset of ranks in parallel for the clustering extension.
+//! Collection has one call per capability, each taking the memo and the
+//! observability context explicitly: [`collect_signature_memo_obs`]
+//! traces the most computationally demanding task (identified by the
+//! `xtrace-spmd` profiling pass), [`collect_task_trace`] traces one given
+//! rank (memo optional), and [`collect_ranks`] traces any subset of ranks
+//! in parallel for the clustering extension. A one-off collection passes
+//! `&SigMemo::new()` and `&ObsContext::disabled()`.
 
 #![warn(missing_docs)]
 
@@ -60,10 +64,8 @@ pub mod memo;
 pub mod sig;
 
 pub use collect::{
-    collect_ranks, collect_ranks_memo, collect_ranks_memo_obs, collect_signature,
-    collect_signature_memo, collect_signature_memo_obs, collect_signature_with,
-    collect_signature_with_obs, collect_task_trace, collect_task_trace_memo,
-    collect_task_trace_memo_obs, rank_stream_seed, rank_stream_seed_for, TracerConfig,
+    collect_ranks, collect_signature_memo_obs, collect_task_trace, rank_stream_seed,
+    rank_stream_seed_for, TracerConfig,
 };
 pub use columnar::{FeatureMatrix, TraceColumns, SCALAR_FEATURES};
 pub use io::{

@@ -299,7 +299,7 @@ impl AppSignature {
     /// # Panics
     ///
     /// Panics if the signature contains no trace for that task (cannot
-    /// happen for signatures built by [`crate::collect_signature`]).
+    /// happen for signatures built by [`crate::collect_signature_memo_obs`]).
     pub fn longest_task(&self) -> &TaskTrace {
         self.traces
             .iter()

@@ -8,9 +8,10 @@ use proptest::test_runner::ProptestConfig;
 use xtrace_apps::SpecfemProxy;
 use xtrace_ir::SourceLoc;
 use xtrace_machine::presets;
+use xtrace_obs::ObsContext;
 use xtrace_tracer::{
     codec, collect_ranks, collect_task_trace, from_bytes, to_bytes, to_bytes_v1, BlockRecord,
-    FeatureVector, InstrRecord, TaskTrace, TracerConfig,
+    FeatureVector, InstrRecord, SigMemo, TaskTrace, TracerConfig,
 };
 
 fn arb_feature_vector() -> impl Strategy<Value = FeatureVector> {
@@ -157,6 +158,7 @@ proptest! {
         seed in any::<u64>(),
         threads in 2usize..6,
     ) {
+        let obs = ObsContext::disabled();
         let app = SpecfemProxy::small();
         let machine = presets::system_a();
         let cfg = TracerConfig {
@@ -170,7 +172,7 @@ proptest! {
                 .num_threads(n)
                 .build()
                 .expect("pool");
-            pool.install(|| collect_ranks(&app, &ranks, 8, &machine, c))
+            pool.install(|| collect_ranks(&app, &ranks, 8, &machine, c, &SigMemo::new(), &obs))
         };
         let one_thread = run(1, &cfg);
         let many_threads = run(threads, &cfg);
@@ -195,8 +197,8 @@ proptest! {
 
         // The single-task path must be just as repeatable, and must agree
         // with the fan-out's per-rank result.
-        let t1 = collect_task_trace(&app, 1, 8, &machine, &cfg);
-        let t2 = collect_task_trace(&app, 1, 8, &machine, &cfg);
+        let t1 = collect_task_trace(&app, 1, 8, &machine, &cfg, None, &obs);
+        let t2 = collect_task_trace(&app, 1, 8, &machine, &cfg, None, &obs);
         prop_assert_eq!(&t1, &t2);
         prop_assert_eq!(&t1, &one_thread[1]);
     }

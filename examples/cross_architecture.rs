@@ -11,7 +11,8 @@
 
 use xtrace::apps::SpecfemProxy;
 use xtrace::machine::presets;
-use xtrace::tracer::{collect_signature_with, BlockRecord, TracerConfig};
+use xtrace::obs::ObsContext;
+use xtrace::tracer::{collect_signature_memo_obs, BlockRecord, SigMemo, TracerConfig};
 
 /// Memory-op-weighted cumulative hit rate of a block at `level`.
 fn block_hit_rate(block: &BlockRecord, level: usize) -> f64 {
@@ -52,7 +53,14 @@ fn main() {
         let l1_kb = machine.hierarchy.levels[0].size_bytes / 1024;
         let mut row = format!("{:<22}", format!("{} ({l1_kb} KB L1)", machine.name));
         for &p in &counts {
-            let sig = collect_signature_with(&app, p, &machine, &tracer_cfg);
+            let sig = collect_signature_memo_obs(
+                &app,
+                p,
+                &machine,
+                &tracer_cfg,
+                &SigMemo::new(),
+                &ObsContext::disabled(),
+            );
             let block = sig
                 .longest_task()
                 .block(block_name)

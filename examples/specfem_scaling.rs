@@ -15,9 +15,10 @@ use xtrace::machine::presets;
 use xtrace::obs::ObsContext;
 use xtrace::psins::{ground_truth, relative_error, try_predict_runtime};
 use xtrace::spmd::profile;
-use xtrace::tracer::{collect_signature_with, TracerConfig};
+use xtrace::tracer::{collect_signature_memo_obs, SigMemo, TracerConfig};
 
 fn main() {
+    let obs = ObsContext::disabled();
     let mut app = SpecfemProxy::small();
     app.cfg.total_elements = 6144;
     app.cfg.timesteps = 50;
@@ -37,7 +38,7 @@ fn main() {
     let traces: Vec<_> = training
         .iter()
         .map(|&p| {
-            collect_signature_with(&app, p, &machine, &tracer_cfg)
+            collect_signature_memo_obs(&app, p, &machine, &tracer_cfg, &SigMemo::new(), &obs)
                 .longest_task()
                 .clone()
         })
@@ -46,13 +47,14 @@ fn main() {
     let cfg = ExtrapolationConfig::default();
     let extrapolated = extrapolate_signature(&traces, target, &cfg).expect("valid training");
 
-    let collected_sig = collect_signature_with(&app, target, &machine, &tracer_cfg);
+    let collected_sig =
+        collect_signature_memo_obs(&app, target, &machine, &tracer_cfg, &SigMemo::new(), &obs);
     let collected = collected_sig.longest_task();
-    let comm = profile(&app, target, &profiling_net(), &ObsContext::disabled());
+    let comm = profile(&app, target, &profiling_net(), &obs);
 
     let pred_e = try_predict_runtime(&extrapolated, &comm, &machine).unwrap();
     let pred_c = try_predict_runtime(collected, &comm, &machine).unwrap();
-    let measured = ground_truth(&app, target, &machine, &tracer_cfg, &ObsContext::disabled());
+    let measured = ground_truth(&app, target, &machine, &tracer_cfg, &obs);
 
     println!(
         "{:<14} {:>6} {:>8} {:>14} {:>9}",

@@ -12,7 +12,8 @@
 use xtrace::apps::Uh3dProxy;
 use xtrace::extrap::{extrapolate_signature, ExtrapolationConfig};
 use xtrace::machine::presets;
-use xtrace::tracer::{collect_signature_with, BlockRecord, TracerConfig};
+use xtrace::obs::ObsContext;
+use xtrace::tracer::{collect_signature_memo_obs, BlockRecord, SigMemo, TracerConfig};
 
 fn block_hit_rate(block: &BlockRecord, level: usize) -> f64 {
     let mut w = 0.0;
@@ -55,7 +56,14 @@ fn main() {
 
     let mut traces = Vec::new();
     for &p in &counts {
-        let sig = collect_signature_with(&app, p, &machine, &tracer_cfg);
+        let sig = collect_signature_memo_obs(
+            &app,
+            p,
+            &machine,
+            &tracer_cfg,
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let trace = sig.longest_task().clone();
         let block = trace.block(block_name).expect("block present");
         let slice_mb = block.instrs[0].features.working_set / (1024.0 * 1024.0);

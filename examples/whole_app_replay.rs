@@ -12,9 +12,10 @@ use xtrace::machine::presets;
 use xtrace::obs::ObsContext;
 use xtrace::psins::{ground_truth_application, try_predict_energy, try_replay_groups};
 use xtrace::spmd::profile;
-use xtrace::tracer::{collect_ranks, TracerConfig};
+use xtrace::tracer::{collect_ranks, SigMemo, TracerConfig};
 
 fn main() {
+    let obs = ObsContext::disabled();
     let mut app = SpecfemProxy::small();
     app.cfg.total_elements = 12_288;
     app.cfg.timesteps = 10;
@@ -30,7 +31,12 @@ fn main() {
     // 1. Sample and trace a handful of tasks per training count.
     let per_count: Vec<_> = training
         .iter()
-        .map(|&p| (p, collect_ranks(&app, &sample, p, &machine, &tracer)))
+        .map(|&p| {
+            (
+                p,
+                collect_ranks(&app, &sample, p, &machine, &tracer, &SigMemo::new(), &obs),
+            )
+        })
         .collect();
 
     // 2. Synthesize the full signature: per-group traces + populations.
@@ -64,7 +70,7 @@ fn main() {
 
     // 4. Energy budget of the master task at scale, from the same
     //    synthetic signature.
-    let comm = profile(&app, target, &profiling_net(), &ObsContext::disabled());
+    let comm = profile(&app, target, &profiling_net(), &obs);
     let energy = try_predict_energy(sig.longest(), &comm, &machine).unwrap();
     println!(
         "\nmaster-task energy at {target} cores: {:.2} J total ({:.2} J memory, \

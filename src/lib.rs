@@ -43,17 +43,23 @@
 //! use xtrace::obs::ObsContext;
 //! use xtrace::psins::try_predict_runtime;
 //! use xtrace::spmd::profile;
-//! use xtrace::tracer::collect_signature;
+//! use xtrace::tracer::{collect_signature_memo_obs, SigMemo, TracerConfig};
 //!
 //! // A small problem so the doctest runs quickly.
 //! let app = SpecfemProxy::small();
 //! let machine = presets::bluewaters_phase1();
+//! let obs = ObsContext::disabled();
 //!
 //! // 1. Trace the most computationally demanding task at three small core
-//! //    counts (instead of the expensive large count).
+//! //    counts (instead of the expensive large count). One memo across the
+//! //    counts reuses identical block simulations.
+//! let (tracer, memo) = (TracerConfig::default(), SigMemo::new());
 //! let training: Vec<_> = [8u32, 16, 32]
 //!     .iter()
-//!     .map(|&p| collect_signature(&app, p, &machine).longest_task().clone())
+//!     .map(|&p| {
+//!         let sig = collect_signature_memo_obs(&app, p, &machine, &tracer, &memo, &obs);
+//!         sig.longest_task().clone()
+//!     })
 //!     .collect();
 //!
 //! // 2. Extrapolate the signature to 128 cores.
@@ -62,7 +68,7 @@
 //!
 //! // 3. Profile communication at 128 cores and predict full-scale runtime
 //! //    from the synthetic trace.
-//! let comm = profile(&app, 128, &profiling_net(), &ObsContext::disabled());
+//! let comm = profile(&app, 128, &profiling_net(), &obs);
 //! let prediction = try_predict_runtime(&extrapolated, &comm, &machine).unwrap();
 //! assert!(prediction.total_seconds > 0.0);
 //! ```

@@ -4,7 +4,8 @@
 use xtrace::apps::SpecfemProxy;
 use xtrace::extrap::{cluster_tasks, extrapolate_clusters, ExtrapolationConfig};
 use xtrace::machine::presets;
-use xtrace::tracer::{collect_ranks, TracerConfig};
+use xtrace::obs::ObsContext;
+use xtrace::tracer::{collect_ranks, SigMemo, TracerConfig};
 
 fn app() -> SpecfemProxy {
     let mut app = SpecfemProxy::small();
@@ -20,7 +21,15 @@ fn master_and_workers_form_distinct_clusters() {
     let machine = presets::cray_xt5();
     let cfg = TracerConfig::fast();
     // Trace the master plus a few workers.
-    let traces = collect_ranks(&app, &[0, 1, 2, 3, 4, 5], 24, &machine, &cfg);
+    let traces = collect_ranks(
+        &app,
+        &[0, 1, 2, 3, 4, 5],
+        24,
+        &machine,
+        &cfg,
+        &SigMemo::new(),
+        &ObsContext::disabled(),
+    );
     let clustering = cluster_tasks(&traces, 2);
     // The master (rank 0) must be alone in its cluster: its work profile is
     // dominated by aggregation, unlike any worker.
@@ -38,7 +47,20 @@ fn per_cluster_extrapolation_produces_ordered_traces() {
     let ranks = [0u32, 1, 2, 3];
     let per_count: Vec<_> = [6u32, 24, 96]
         .iter()
-        .map(|&p| (p, collect_ranks(&app, &ranks, p, &machine, &cfg)))
+        .map(|&p| {
+            (
+                p,
+                collect_ranks(
+                    &app,
+                    &ranks,
+                    p,
+                    &machine,
+                    &cfg,
+                    &SigMemo::new(),
+                    &ObsContext::disabled(),
+                ),
+            )
+        })
         .collect();
     let out = extrapolate_clusters(&per_count, 384, 2, &ExtrapolationConfig::default())
         .expect("cluster extrapolation succeeds");
@@ -59,15 +81,16 @@ fn per_cluster_extrapolation_produces_ordered_traces() {
 
 #[test]
 fn parallel_rank_collection_matches_serial() {
+    let obs = ObsContext::disabled();
     // collect_ranks fans out over rayon; results must equal one-by-one
     // collection regardless of scheduling.
     let app = app();
     let machine = presets::cray_xt5();
     let cfg = TracerConfig::fast();
     let ranks = [0u32, 3, 7];
-    let parallel = collect_ranks(&app, &ranks, 24, &machine, &cfg);
+    let parallel = collect_ranks(&app, &ranks, 24, &machine, &cfg, &SigMemo::new(), &obs);
     for (i, &r) in ranks.iter().enumerate() {
-        let serial = xtrace::tracer::collect_task_trace(&app, r, 24, &machine, &cfg);
+        let serial = xtrace::tracer::collect_task_trace(&app, r, 24, &machine, &cfg, None, &obs);
         assert_eq!(parallel[i], serial, "rank {r}");
     }
 }

@@ -6,7 +6,8 @@
 
 use xtrace::apps::{SpecfemProxy, StencilProxy};
 use xtrace::machine::presets;
-use xtrace::tracer::{collect_ranks, collect_task_trace, TracerConfig};
+use xtrace::obs::ObsContext;
+use xtrace::tracer::{collect_ranks, collect_task_trace, SigMemo, TracerConfig};
 
 #[test]
 fn rank_collection_is_invariant_under_thread_pool_size() {
@@ -22,7 +23,17 @@ fn rank_collection_is_invariant_under_thread_pool_size() {
             .num_threads(n)
             .build()
             .expect("pool builds");
-        pool.install(|| collect_ranks(&app, &ranks, 8, &machine, &cfg))
+        pool.install(|| {
+            collect_ranks(
+                &app,
+                &ranks,
+                8,
+                &machine,
+                &cfg,
+                &SigMemo::new(),
+                &ObsContext::disabled(),
+            )
+        })
     };
 
     let serial = run_with_threads(1);
@@ -32,16 +43,17 @@ fn rank_collection_is_invariant_under_thread_pool_size() {
 
 #[test]
 fn collection_order_does_not_matter() {
+    let obs = ObsContext::disabled();
     let app = StencilProxy::small();
     let machine = presets::opteron();
     let cfg = TracerConfig::fast();
 
     // Interleave collections of different ranks/counts; each trace must
     // equal a freshly collected one (no hidden shared state).
-    let t3_first = collect_task_trace(&app, 3, 8, &machine, &cfg);
-    let _noise1 = collect_task_trace(&app, 0, 4, &machine, &cfg);
-    let _noise2 = collect_task_trace(&app, 7, 8, &machine, &cfg);
-    let t3_again = collect_task_trace(&app, 3, 8, &machine, &cfg);
+    let t3_first = collect_task_trace(&app, 3, 8, &machine, &cfg, None, &obs);
+    let _noise1 = collect_task_trace(&app, 0, 4, &machine, &cfg, None, &obs);
+    let _noise2 = collect_task_trace(&app, 7, 8, &machine, &cfg, None, &obs);
+    let t3_again = collect_task_trace(&app, 3, 8, &machine, &cfg, None, &obs);
     assert_eq!(t3_first, t3_again);
 }
 

@@ -13,7 +13,7 @@ use xtrace::psins::{
     try_replay_groups,
 };
 use xtrace::spmd::profile;
-use xtrace::tracer::{collect_ranks, collect_signature_with, TracerConfig};
+use xtrace::tracer::{collect_ranks, collect_signature_memo_obs, SigMemo, TracerConfig};
 
 fn small_specfem() -> SpecfemProxy {
     let mut app = SpecfemProxy::small();
@@ -26,6 +26,7 @@ fn small_specfem() -> SpecfemProxy {
 
 #[test]
 fn weak_scaling_extrapolates_nearly_perfectly() {
+    let obs = ObsContext::disabled();
     let mut app = small_specfem();
     app.cfg.total_elements = 64; // per-rank under weak scaling
     app.cfg.scaling = ScalingMode::Weak;
@@ -34,14 +35,14 @@ fn weak_scaling_extrapolates_nearly_perfectly() {
     let training: Vec<_> = [6u32, 24, 96]
         .iter()
         .map(|&p| {
-            collect_signature_with(&app, p, &machine, &cfg)
+            collect_signature_memo_obs(&app, p, &machine, &cfg, &SigMemo::new(), &obs)
                 .longest_task()
                 .clone()
         })
         .collect();
     let ex = extrapolate_signature(&training, 384, &ExtrapolationConfig::default()).unwrap();
-    let coll = collect_signature_with(&app, 384, &machine, &cfg);
-    let comm = profile(&app, 384, &profiling_net(), &ObsContext::disabled());
+    let coll = collect_signature_memo_obs(&app, 384, &machine, &cfg, &SigMemo::new(), &obs);
+    let comm = profile(&app, 384, &profiling_net(), &obs);
     let pe = try_predict_runtime(&ex, &comm, &machine).unwrap();
     let pc = try_predict_runtime(coll.longest_task(), &coll.comm, &machine).unwrap();
     let gap = relative_error(pe.total_seconds, pc.total_seconds);
@@ -50,6 +51,7 @@ fn weak_scaling_extrapolates_nearly_perfectly() {
 
 #[test]
 fn series_extrapolation_over_problem_size_via_facade() {
+    let obs = ObsContext::disabled();
     let machine = presets::cray_xt5();
     let cfg = TracerConfig::fast();
     let p = 24u32;
@@ -61,14 +63,14 @@ fn series_extrapolation_over_problem_size_via_facade() {
     let points: Vec<(f64, _)> = [3072u64, 6144, 12288]
         .iter()
         .map(|&n| {
-            let sig = collect_signature_with(&mk(n), p, &machine, &cfg);
+            let sig = collect_signature_memo_obs(&mk(n), p, &machine, &cfg, &SigMemo::new(), &obs);
             (n as f64, sig.longest_task().clone())
         })
         .collect();
     let ex = extrapolate_series(&points, 49_152.0, &ExtrapolationConfig::default()).unwrap();
     assert_eq!(ex.nranks, p, "core count unchanged on the size axis");
     // Worker counts grow linearly with the mesh: check the stiffness block.
-    let coll = collect_signature_with(&mk(49_152), p, &machine, &cfg);
+    let coll = collect_signature_memo_obs(&mk(49_152), p, &machine, &cfg, &SigMemo::new(), &obs);
     let e = ex.block("stiffness-matmul").unwrap().instrs[0]
         .features
         .mem_ops;
@@ -90,7 +92,20 @@ fn full_signature_covers_population_and_replays() {
     let sample: Vec<u32> = (0..6).collect();
     let per_count: Vec<_> = [6u32, 24, 96]
         .iter()
-        .map(|&p| (p, collect_ranks(&app, &sample, p, &machine, &cfg)))
+        .map(|&p| {
+            (
+                p,
+                collect_ranks(
+                    &app,
+                    &sample,
+                    p,
+                    &machine,
+                    &cfg,
+                    &SigMemo::new(),
+                    &ObsContext::disabled(),
+                ),
+            )
+        })
         .collect();
     let sig =
         synthesize_full_signature(&per_count, 192, 2, &ExtrapolationConfig::default()).unwrap();
@@ -117,20 +132,21 @@ fn full_signature_covers_population_and_replays() {
 
 #[test]
 fn energy_extrapolates_with_runtime() {
+    let obs = ObsContext::disabled();
     let app = small_specfem();
     let machine = presets::cray_xt5();
     let cfg = TracerConfig::fast();
     let training: Vec<_> = [6u32, 24, 96]
         .iter()
         .map(|&p| {
-            collect_signature_with(&app, p, &machine, &cfg)
+            collect_signature_memo_obs(&app, p, &machine, &cfg, &SigMemo::new(), &obs)
                 .longest_task()
                 .clone()
         })
         .collect();
     let ex = extrapolate_signature(&training, 384, &ExtrapolationConfig::default()).unwrap();
-    let coll = collect_signature_with(&app, 384, &machine, &cfg);
-    let comm = profile(&app, 384, &profiling_net(), &ObsContext::disabled());
+    let coll = collect_signature_memo_obs(&app, 384, &machine, &cfg, &SigMemo::new(), &obs);
+    let comm = profile(&app, 384, &profiling_net(), &obs);
     let e_ex = try_predict_energy(&ex, &comm, &machine).unwrap();
     let e_coll = try_predict_energy(coll.longest_task(), &coll.comm, &machine).unwrap();
     let gap = relative_error(e_ex.total_joules, e_coll.total_joules);
@@ -148,7 +164,14 @@ fn machine_profiles_roundtrip_through_spec_files() {
     // Predictions through the reloaded profile match the original.
     let app = StencilProxy::small();
     let cfg = TracerConfig::fast();
-    let sig = collect_signature_with(&app, 4, &machine, &cfg);
+    let sig = collect_signature_memo_obs(
+        &app,
+        4,
+        &machine,
+        &cfg,
+        &SigMemo::new(),
+        &ObsContext::disabled(),
+    );
     let a = try_predict_runtime(sig.longest_task(), &sig.comm, &machine).unwrap();
     let b = try_predict_runtime(sig.longest_task(), &sig.comm, &reloaded).unwrap();
     assert!((a.total_seconds - b.total_seconds).abs() / a.total_seconds < 1e-9);

@@ -4,8 +4,9 @@
 use xtrace::apps::StencilProxy;
 use xtrace::extrap::{extrapolate_signature, ExtrapolationConfig};
 use xtrace::machine::presets;
+use xtrace::obs::ObsContext;
 use xtrace::tracer::{
-    collect_signature_with, from_bytes, load_json, save_json, to_bytes, TracerConfig,
+    collect_signature_memo_obs, from_bytes, load_json, save_json, to_bytes, SigMemo, TracerConfig,
 };
 
 #[test]
@@ -14,7 +15,14 @@ fn binary_roundtrip_of_real_traces_is_exact() {
     let machine = presets::cray_xt5();
     let cfg = TracerConfig::fast();
     for p in [2u32, 4, 8] {
-        let sig = collect_signature_with(&app, p, &machine, &cfg);
+        let sig = collect_signature_memo_obs(
+            &app,
+            p,
+            &machine,
+            &cfg,
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let t = sig.longest_task();
         let back = from_bytes(&to_bytes(t)).expect("decodes");
         assert_eq!(&back, t, "binary roundtrip at {p} cores");
@@ -31,7 +39,14 @@ fn json_files_roundtrip_and_feed_extrapolation() {
 
     let mut paths = Vec::new();
     for p in [2u32, 4, 8] {
-        let sig = collect_signature_with(&app, p, &machine, &cfg);
+        let sig = collect_signature_memo_obs(
+            &app,
+            p,
+            &machine,
+            &cfg,
+            &SigMemo::new(),
+            &ObsContext::disabled(),
+        );
         let path = dir.join(format!("stencil-{p}.json"));
         save_json(sig.longest_task(), &path).unwrap();
         paths.push(path);
@@ -52,7 +67,14 @@ fn json_files_roundtrip_and_feed_extrapolation() {
 fn json_and_binary_agree() {
     let app = StencilProxy::small();
     let machine = presets::opteron();
-    let sig = collect_signature_with(&app, 4, &machine, &TracerConfig::fast());
+    let sig = collect_signature_memo_obs(
+        &app,
+        4,
+        &machine,
+        &TracerConfig::fast(),
+        &SigMemo::new(),
+        &ObsContext::disabled(),
+    );
     let t = sig.longest_task();
     let via_bin = from_bytes(&to_bytes(t)).unwrap();
     let via_json: xtrace::tracer::TaskTrace =
