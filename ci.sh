@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: build, tests, lints, and smoke runs of the
-# performance-regression benches. Everything runs offline against the
+# Local CI gate: build, tests, lints, the benchmark's own tests and brief
+# correctness runs of its workloads. Everything runs offline against the
 # vendored dependency stubs.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -31,50 +31,22 @@ cargo clippy --offline -p xtrace-ir -p xtrace-cache -p xtrace-tracer \
     -p xtrace-bench -p xtrace-cli -p xtrace-spmd -p xtrace-apps \
     -p xtrace-obs -p xtrace-serve --all-targets -- -D warnings
 
-echo "== bench smoke (quick configs) =="
+echo "== perfbench tests =="
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench correctness (brief runs of every workload) =="
+# A correctness gate, not a timing one: each workload must exit 0 with
+# every prediction bit-identical to its reference (`"correct": true`).
+# Timing verdicts belong to promotion time
+# (`xtrace bench-verdict <saved outputs> --append`), on a quiet host.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-XTRACE_BENCH_QUICK=1 cargo run -q --release --offline -p xtrace-bench \
-    --bin bench_collect -- --threads 4 --out "$tmp/BENCH_collect.json"
-XTRACE_BENCH_QUICK=1 cargo run -q --release --offline -p xtrace-bench \
-    --bin bench_extrap -- --threads 4 --out "$tmp/BENCH_extrap.json"
-# bench_convolve's quick mode asserts correctness, not wall-clock: all
-# replay legs bit-identical, ConvolveCache warm hits, golden-pipeline
-# prediction rel err exactly 0.
-XTRACE_BENCH_QUICK=1 cargo run -q --release --offline -p xtrace-bench \
-    --bin bench_convolve -- --threads 4 --out "$tmp/BENCH_convolve.json"
-# bench_obs's quick mode asserts the prediction is bit-identical with and
-# without a recorder attached (the <2% overhead gate runs in full mode).
-XTRACE_BENCH_QUICK=1 cargo run -q --release --offline -p xtrace-bench \
-    --bin bench_obs -- --out "$tmp/BENCH_obs.json"
-# bench_sweep's quick mode asserts the sweep write counts (one prefix set
-# + one tail per target) and lane/standalone bit-identity (the <10%
-# marginal-target gate runs in full mode).
-XTRACE_BENCH_QUICK=1 cargo run -q --release --offline -p xtrace-bench \
-    --bin bench_sweep -- --out "$tmp/BENCH_sweep.json"
-# bench_serve's quick mode asserts coalescing (one cold pipeline for two
-# concurrent identical requests), bit-identical served predictions, and a
-# live admission queue (the sustained-load numbers run in full mode).
-XTRACE_BENCH_QUICK=1 cargo run -q --release --offline -p xtrace-bench \
-    --bin bench_serve -- --out "$tmp/BENCH_serve.json"
-for f in BENCH_collect.json BENCH_extrap.json BENCH_convolve.json \
-    BENCH_obs.json BENCH_sweep.json BENCH_serve.json; do
-    test -s "$tmp/$f" || { echo "missing bench report $f" >&2; exit 1; }
+for w in paper-cold serve-warm sweep-extend; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 \
+        > "$tmp/$w.out"
+    tail -n 1 "$tmp/$w.out" | grep -q '^{"correct": true,' \
+        || { echo "perfbench $w: not correct" >&2; exit 1; }
 done
-
-echo "== bench history verdict (robust z-score against the history) =="
-# Gates the fresh quick-mode legs against the committed append-only
-# history via the Rust-native anomaly detector (robust z-score over the
-# post-changepoint regime; `xtrace bench-verdict`). The committed
-# BENCH_history.jsonl itself is never mutated here (promote new results
-# with `bench_history.py append`, a thin wrapper over the same binary).
-# The noise floor is 1s: on the 1-core CI hosts, scheduler jitter on
-# sub-second quick legs dwarfs any real signal, so only legs long
-# enough to average the jitter out are hard-gated — shorter legs are
-# still printed for eyeballing, and the full-mode runs promoted into
-# the history carry the real regression signal.
-target/release/xtrace bench-verdict "$tmp"/BENCH_*.json \
-    --history BENCH_history.jsonl --min-seconds 1.0
 
 echo "== concurrent-engine smoke (two sessions, one process, golden diff) =="
 # Two pipeline sessions running concurrently in one process must each

@@ -11,9 +11,6 @@
 //! where crossovers fall — not absolute agreement with the authors'
 //! testbed (our substrate is a parametric simulator).
 
-pub mod seed_cache;
-pub mod seed_sim;
-
 use xtrace_apps::{SpecfemProxy, Uh3dProxy};
 use xtrace_core::PipelineApp;
 use xtrace_extrap::{

@@ -18,7 +18,7 @@
 //!                    [--store DIR] [--out F]
 //! xtrace report      same flags as pipeline, plus [--top N]
 //! xtrace diff        --a F1 --b F2 [--threshold 0.001] [--top N]
-//! xtrace bench-verdict [--history F] [--min-seconds S] [--max-z Z] BENCH_*.json...
+//! xtrace bench-verdict PERFBENCH_OUT... [--history F] [--append [true|false]]
 //! xtrace machine-export --machine M --out F.json
 //! xtrace inspect     --app A --ranks P [--rank R] [--scale S]
 //! xtrace serve       [--addr IP:PORT] [--workers N] [--max-queue N] [--store DIR]
@@ -96,7 +96,7 @@ fn usage() -> &'static str {
      [--metrics-out <file.json>] [--trace-out <trace.json>] [--diagnostics-out <file.json>]\n                  \
      [--critical-path [true|false]]\n  \
      xtrace diff --a <file> --b <file> [--threshold <frac>] [--top <N>]\n  \
-     xtrace bench-verdict [--history <file.jsonl>] [--min-seconds <S>] [--max-z <Z>] <BENCH_*.json...>\n  \
+     xtrace bench-verdict <perfbench outputs...> [--history <file.jsonl>] [--append [true|false]]\n  \
      xtrace machine-export --machine <name> --out <file.json>\n  \
      xtrace inspect --app <name> --ranks <P> [--rank <R>] [--scale tiny|small|paper]\n  \
      xtrace serve [--addr <ip:port>] [--workers <N>] [--max-queue <N>] [--store <dir>]\n\n\
@@ -122,7 +122,7 @@ struct Args {
 impl Args {
     /// Flags that may appear bare (`--critical-path`), reading as `true`;
     /// every other flag requires an explicit value.
-    const BOOLEAN_FLAGS: &'static [&'static str] = &["critical-path"];
+    const BOOLEAN_FLAGS: &'static [&'static str] = &["critical-path", "append"];
 
     fn parse(argv: &[String]) -> Result<Self> {
         let mut flags = Vec::new();
@@ -1029,37 +1029,47 @@ fn sweep_report(args: &Args, engine: &XtraceEngine, config: &PipelineConfig) -> 
     Ok(())
 }
 
-/// `xtrace bench-verdict`: judge fresh bench reports against the
-/// append-only wall-time history with per-leg, noise-aware verdicts
-/// (robust z-score + sliding-median changepoints; see
-/// [`xtrace_obs::judge_leg`]). Replaces the old flat 15%-over-best gate:
-/// jittery legs no longer cry wolf, quiet legs can no longer regress
-/// just under a global threshold, and an accepted regime change in the
-/// history stops poisoning later verdicts. Exits non-zero when any leg
-/// regresses.
+/// `xtrace bench-verdict`: judges saved perfbench outputs against the
+/// like-for-like rows of `BENCH_history.jsonl` (same workload, metric,
+/// host cores and threads), with each end-to-end metric's direction and
+/// bound from the `BENCHMARK.json` beside the history (see
+/// [`xtrace_obs::judge`]). `--append` records the judged rows. Exits 4
+/// when any metric regresses.
 fn cmd_bench_verdict(args: &Args) -> Result<()> {
-    use xtrace_obs::{LegVerdict, VerdictConfig};
+    use xtrace_obs::{HistoryRow, PerfbenchRun, Verdict};
+    let append = match args.get("append").unwrap_or("false") {
+        "true" => true,
+        "false" => false,
+        other => {
+            return Err(usage_err(format!(
+                "--append must be true|false, got {other:?}"
+            )))
+        }
+    };
     if args.positional.is_empty() {
         return Err(usage_err(
-            "bench-verdict needs BENCH_<name>.json report files as positional arguments",
+            "bench-verdict needs saved perfbench outputs as positional arguments",
         ));
     }
-    let mut cfg = VerdictConfig::default();
-    if let Some(v) = args.get("min-seconds") {
-        cfg.min_seconds = v
-            .parse()
-            .map_err(|_| usage_err("--min-seconds must be a number"))?;
-    }
-    if let Some(v) = args.get("max-z") {
-        cfg.max_z = v
-            .parse()
-            .map_err(|_| usage_err("--max-z must be a number"))?;
-    }
-    let history_path = args.get("history").unwrap_or("BENCH_history.jsonl");
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).map_err(|e| {
+            XtraceError::Io(IoError::Io {
+                path: path.into(),
+                source: e,
+            })
+        })
+    };
+    let history_path = Path::new(args.get("history").unwrap_or("BENCH_history.jsonl"));
+    let benchmark_path = history_path
+        .parent()
+        .unwrap_or(Path::new(""))
+        .join("BENCHMARK.json");
+    let metrics = xtrace_obs::end_to_end_metrics(&read(&benchmark_path)?)
+        .map_err(|e| XtraceError::Model(format!("{}: {e}", benchmark_path.display())))?;
     let history = match std::fs::read_to_string(history_path) {
-        Ok(s) => xtrace_obs::history_series(&s)
-            .map_err(|e| XtraceError::Model(format!("{history_path}: {e}")))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Default::default(),
+        Ok(s) => xtrace_obs::history_rows(&s)
+            .map_err(|e| XtraceError::Model(format!("{}: {e}", history_path.display())))?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => {
             return Err(XtraceError::Io(IoError::Io {
                 path: history_path.into(),
@@ -1068,73 +1078,111 @@ fn cmd_bench_verdict(args: &Args) -> Result<()> {
         }
     };
 
-    let mut regressions: Vec<String> = Vec::new();
+    // Refuse every unusable run before judging or recording any.
+    let date = utc_date(std::time::SystemTime::now());
+    let mut fresh: Vec<HistoryRow> = Vec::new();
     for path in &args.positional {
-        let bench = xtrace_obs::bench_name(path).ok_or_else(|| {
-            usage_err(format!("{path}: bench reports are named BENCH_<name>.json"))
-        })?;
-        let body = std::fs::read_to_string(path).map_err(|e| {
-            XtraceError::Io(IoError::Io {
-                path: path.into(),
-                source: e,
-            })
-        })?;
-        let extracted = xtrace_obs::extract_legs(bench, &body)
-            .map_err(|e| XtraceError::Model(format!("{path}: {e}")))?;
-        let mode = &extracted.mode;
-        for (leg, seconds) in &extracted.legs {
-            let key = (bench.to_string(), leg.clone(), mode.clone());
-            let series = history.get(&key).map_or(&[] as &[f64], Vec::as_slice);
-            match xtrace_obs::judge_leg(series, *seconds, &cfg) {
-                LegVerdict::New => {
-                    println!("new   {bench}.{leg} [{mode}] {seconds:.3}s (no history)");
-                }
-                LegVerdict::SkippedNoiseFloor { best } => {
-                    println!(
-                        "skip  {bench}.{leg} [{mode}] {seconds:.3}s \
-                         (best {best:.3}s under the {:.2}s noise floor)",
-                        cfg.min_seconds
-                    );
-                }
-                LegVerdict::Ok { best, z } => {
-                    println!(
-                        "ok    {bench}.{leg} [{mode}] {seconds:.3}s (best {best:.3}s, z {z:+.1})"
-                    );
-                }
-                LegVerdict::Regressed {
-                    best,
-                    z,
-                    excess_frac,
-                } => {
-                    println!(
-                        "FAIL  {bench}.{leg} [{mode}] {seconds:.3}s vs best {best:.3}s \
-                         (+{:.1}%, z {z:.1})",
-                        100.0 * excess_frac
-                    );
-                    regressions.push(format!("{bench}.{leg}"));
-                }
+        let run = PerfbenchRun::parse(&read(Path::new(path))?)
+            .map_err(|e| usage_err(format!("{path}: {e}")))?;
+        if run.traced {
+            return Err(usage_err(format!(
+                "{path}: a traced run (--trace 1) reports per-layer metrics; \
+                 judge an untraced one"
+            )));
+        }
+        if !run.correct {
+            return Err(usage_err(format!(
+                "{path}: the run is not correct; its timings judge nothing"
+            )));
+        }
+        fresh.extend(
+            run.history_rows(&metrics, &date)
+                .map_err(|e| usage_err(format!("{path}: {e}")))?,
+        );
+    }
+
+    // Each run contributed one row per metric, in `metrics` order.
+    let mut regressions: Vec<String> = Vec::new();
+    for (row, metric) in fresh.iter().zip(metrics.iter().cycle()) {
+        let series: Vec<f64> = history
+            .iter()
+            .filter(|h| h.same_series(row))
+            .map(|h| h.value)
+            .collect();
+        let label = format!("{} {} {} {}", row.workload, row.metric, row.value, row.unit);
+        match xtrace_obs::judge(&series, row.value, metric) {
+            Verdict::New => println!(
+                "new   {label} (no history at {} cores, {} threads)",
+                row.host_cores, row.threads
+            ),
+            Verdict::Ok { baseline, z } => {
+                println!("ok    {label} (baseline {baseline}, z {z:+.1})")
             }
-            if let Some(cp) =
-                xtrace_obs::sliding_median_changepoint(series, cfg.window, cfg.min_shift_frac)
-            {
+            Verdict::Regressed {
+                baseline,
+                z,
+                worse_frac,
+            } => {
                 println!(
-                    "      note: history level shift at entry {} ({:+.1}%); \
-                     z judged against the later regime",
-                    cp.index,
-                    100.0 * cp.shift_frac
+                    "FAIL  {label} vs baseline {baseline} ({:.1}% worse, bound {:.0}%, z {z:.1})",
+                    100.0 * worse_frac,
+                    100.0 * metric.bound
                 );
+                regressions.push(format!("{}.{}", row.workload, row.metric));
             }
         }
+    }
+
+    if append {
+        let mut lines = String::new();
+        for row in &fresh {
+            lines.push_str(&serde_json::to_string(row).expect("serializable"));
+            lines.push('\n');
+        }
+        use std::io::Write;
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(history_path)
+            .and_then(|mut f| f.write_all(lines.as_bytes()))
+            .map_err(|e| {
+                XtraceError::Io(IoError::Io {
+                    path: history_path.into(),
+                    source: e,
+                })
+            })?;
+        eprintln!(
+            "appended {} row(s) to {}",
+            fresh.len(),
+            history_path.display()
+        );
     }
     if regressions.is_empty() {
         Ok(())
     } else {
         Err(XtraceError::Model(format!(
-            "{} bench leg(s) regressed: {}",
+            "{} metric(s) regressed: {}",
             regressions.len(),
             regressions.join(", ")
         )))
     }
+}
+
+/// `YYYY-MM-DD` of `now` in UTC (civil-from-days on the proleptic
+/// Gregorian calendar).
+fn utc_date(now: std::time::SystemTime) -> String {
+    let secs = now
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let days = (secs / 86_400) as i64 + 719_468;
+    let (era, doe) = (days / 146_097, days % 146_097);
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + i64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
 }
 
 /// The `--critical-out` payload: every attributed target's critical-path
@@ -1323,5 +1371,18 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(e.exit_code())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, UNIX_EPOCH};
+
+    #[test]
+    fn utc_dates_follow_the_gregorian_calendar() {
+        let day = |d: u64| super::utc_date(UNIX_EPOCH + Duration::from_secs(d * 86_400 + 3_600));
+        assert_eq!(day(0), "1970-01-01");
+        assert_eq!(day(11_016), "2000-02-29");
+        assert_eq!(day(20_744), "2026-10-18");
     }
 }

@@ -468,6 +468,7 @@ fn pipeline_store_resumes_on_second_run() {
 fn pipeline_ranks_per_count_collects_worker_artifacts() {
     let dir = tmpdir("wide");
     let store = dir.join("artifacts");
+    let prediction = dir.join("prediction.json");
     let args = [
         "pipeline",
         "--app",
@@ -482,6 +483,8 @@ fn pipeline_ranks_per_count_collects_worker_artifacts() {
         "false",
         "--tracer",
         "fast",
+        "--out",
+        prediction.to_str().unwrap(),
         "--ranks-per-count",
         "2",
         "--store",
@@ -489,6 +492,7 @@ fn pipeline_ranks_per_count_collects_worker_artifacts() {
     ];
     let cold = xtrace(&args);
     assert!(cold.status.success(), "{cold:?}");
+    let wide_prediction = std::fs::read_to_string(&prediction).unwrap();
     let warm = xtrace(&args);
     assert!(warm.status.success(), "{warm:?}");
     let err = String::from_utf8_lossy(&warm.stderr);
@@ -500,6 +504,13 @@ fn pipeline_ranks_per_count_collects_worker_artifacts() {
         "worker traces add store entries: {err}"
     );
     assert!(err.contains("artifact(s) reused"), "{err}");
+    // The extra worker traces leave the prediction as it was.
+    let narrow = xtrace(&args[..args.len() - 4]);
+    assert!(narrow.status.success(), "{narrow:?}");
+    assert_eq!(
+        std::fs::read_to_string(&prediction).unwrap(),
+        wide_prediction
+    );
 
     let bad = xtrace(&[
         "pipeline",
@@ -882,62 +893,108 @@ fn pipeline_critical_out_reports_flip_scale() {
     }
 }
 
+/// A saved perfbench stdout: context line, summary, result line.
+fn perfbench_output(trace: u8, correct: bool, op_p50_ms: f64, ops_per_s: f64) -> String {
+    format!(
+        "{{\"context\": {{\"workload\": \"paper-cold\", \"commit\": \"abc1234\", \
+         \"source\": \"s\", \"nproc\": 2, \"rayon_threads\": 2, \"serve_workers\": 0, \
+         \"clients\": 1, \"seed\": 1, \"seconds\": 15.0, \"trace\": {trace}, \"ops\": 5}}}}\n\
+         summary: 5 ops\n\
+         {{\"correct\": {correct}, \"attempted\": 5, \"failed\": 0, \"metrics\": {{\
+         \"op_p50_ms\": {{\"value\": {op_p50_ms:?}, \"unit\": \"ms\"}}, \
+         \"ops_per_s\": {{\"value\": {ops_per_s:?}, \"unit\": \"1/s\"}}}}}}\n"
+    )
+}
+
+/// One history row of the `paper-cold` series at `host_cores`.
+fn history_row(metric: &str, value: f64, host_cores: u32) -> String {
+    format!(
+        "{{\"workload\":\"paper-cold\",\"metric\":\"{metric}\",\"value\":{value:?},\
+         \"unit\":\"u\",\"commit\":\"old\",\"host_cores\":{host_cores},\"threads\":2,\
+         \"date\":\"2026-01-01\"}}\n"
+    )
+}
+
 #[test]
-fn bench_verdict_gates_legs_against_history() {
+fn bench_verdict_judges_perfbench_runs_against_like_for_like_history() {
     let dir = tmpdir("verdict");
-    let report = dir.join("BENCH_obs.json");
     let history = dir.join("BENCH_history.jsonl");
     let _ = std::fs::remove_file(&history);
     std::fs::write(
-        &report,
-        r#"{"quick": true, "plain_wall_s": 1.0, "recorded_wall_s": 1.01,
-           "journal_wall_s": 2.0, "attributed_wall_s": 1.005}"#,
+        dir.join("BENCHMARK.json"),
+        r#"{"end_to_end": [
+            {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.2},
+            {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}]}"#,
     )
     .unwrap();
+    let run = |name: &str, body: String, extra: &[&str]| {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let mut args = vec![
+            "bench-verdict",
+            path.to_str().unwrap(),
+            "--history",
+            history.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let out = xtrace(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        (out, stdout)
+    };
 
-    // No history yet: every leg is new, the verdict passes.
-    let out = xtrace(&[
-        "bench-verdict",
-        report.to_str().unwrap(),
-        "--history",
-        history.to_str().unwrap(),
-    ]);
+    // No history yet: every metric is new, the verdict passes.
+    let (out, s) = run("fresh.txt", perfbench_output(0, true, 1000.0, 1.0), &[]);
     assert!(out.status.success(), "{out:?}");
-    let s = String::from_utf8_lossy(&out.stdout);
-    assert!(s.contains("obs.plain [quick]"), "{s}");
-    assert!(s.contains("no history"), "{s}");
+    assert!(s.contains("new   paper-cold op_p50_ms"), "{s}");
+    assert!(s.contains("no history at 2 cores, 2 threads"), "{s}");
 
-    // A stable ~1s history: the 2.0s journal leg regresses (z and excess
-    // both far over threshold), the jittery-but-flat legs pass.
+    // A stable history on this host, plus a 64-core series that is far
+    // faster and must never be compared.
     let mut lines = String::new();
     for i in 0..12 {
-        let jitter = ((i * 37) % 11) as f64 * 1e-3;
-        for leg in ["plain", "recorded", "journal", "attributed"] {
-            lines.push_str(&format!(
-                "{{\"bench\":\"obs\",\"leg\":\"{leg}\",\"mode\":\"quick\",\"seconds\":{},\"date\":\"2026-01-01\"}}\n",
-                1.0 + jitter
-            ));
-        }
+        let jitter = ((i * 37) % 11) as f64;
+        lines.push_str(&history_row("op_p50_ms", 1000.0 + jitter, 2));
+        lines.push_str(&history_row("ops_per_s", 1.0 + jitter * 1e-3, 2));
+        lines.push_str(&history_row("op_p50_ms", 10.0, 64));
+        lines.push_str(&history_row("ops_per_s", 100.0, 64));
     }
-    std::fs::write(&history, lines).unwrap();
-    let out = xtrace(&[
-        "bench-verdict",
-        report.to_str().unwrap(),
-        "--history",
-        history.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(4), "{out:?}");
-    let s = String::from_utf8_lossy(&out.stdout);
-    assert!(s.contains("FAIL  obs.journal"), "{s}");
-    assert!(s.contains("ok    obs.plain"), "{s}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("obs.journal"), "{err}");
+    std::fs::write(&history, &lines).unwrap();
 
-    // Reports must follow the BENCH_<name>.json naming convention.
-    let bad = dir.join("not-a-bench.json");
-    std::fs::write(&bad, "{}").unwrap();
-    let out = xtrace(&["bench-verdict", bad.to_str().unwrap()]);
+    // Same numbers: ok, judged against the 2-core rows only.
+    let (out, s) = run("same.txt", perfbench_output(0, true, 1003.0, 1.0), &[]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(s.contains("ok    paper-cold op_p50_ms"), "{s}");
+    assert!(s.contains("(baseline 1004.5, "), "2-core median only: {s}");
+
+    // op_p50_ms 50% worse than a 20% bound: exit 4. ops_per_s far
+    // *higher* than its history is an improvement, because the metric's
+    // direction comes from `better`.
+    let (out, s) = run("slow.txt", perfbench_output(0, true, 1500.0, 5.0), &[]);
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    assert!(s.contains("FAIL  paper-cold op_p50_ms"), "{s}");
+    assert!(s.contains("ok    paper-cold ops_per_s"), "{s}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("paper-cold.op_p50_ms"));
+
+    // Traced runs (per-layer metrics) and incorrect runs are refused.
+    let (out, _) = run("traced.txt", perfbench_output(1, true, 1000.0, 1.0), &[]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let (out, _) = run("wrong.txt", perfbench_output(0, false, 1000.0, 1.0), &[]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert_eq!(std::fs::read_to_string(&history).unwrap(), lines);
+
+    // --append records exactly one row per end-to-end metric.
+    let (out, _) = run(
+        "append.txt",
+        perfbench_output(0, true, 1001.0, 1.0),
+        &["--append"],
+    );
+    assert!(out.status.success(), "{out:?}");
+    let after = std::fs::read_to_string(&history).unwrap();
+    let appended: Vec<&str> = after[lines.len()..].lines().collect();
+    assert_eq!(appended.len(), 2, "{after}");
+    assert!(appended[0].contains("\"metric\":\"op_p50_ms\""), "{after}");
+    assert!(appended[1].contains("\"host_cores\":2"), "{after}");
+    assert!(appended[1].contains("\"commit\":\"abc1234\""), "{after}");
 }
 
 /// Runs `xtrace pipeline` on the tiny SPECFEM3D config (fast tracer, no

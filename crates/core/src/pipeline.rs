@@ -630,9 +630,9 @@ impl Pipeline {
         let recorder = ctx.obs.recorder();
         if let Some(rec) = recorder {
             // Pre-register the headline counters so every snapshot carries
-            // them (reading zero when the run never touches that path —
-            // e.g. ConvolveCache is only exercised by the replay
-            // extension).
+            // them (reading zero when the run never touches that path).
+            // No stage increments the three `psins.*` counters; they stay
+            // at 0 because the committed metrics golden pins the key set.
             let m = rec.metrics();
             for name in [
                 "tracer.sig_memo.hits",

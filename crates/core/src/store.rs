@@ -603,7 +603,7 @@ mod tests {
         let t0 = xtrace_tracer::collect_task_trace(&app, 0, 4, &machine, &cfg, None, &obs);
         let t1 = xtrace_tracer::collect_task_trace(&app, 1, 4, &machine, &cfg, None, &obs);
         let groups = vec![(t0, 1u64), (t1, 3u64)];
-        let build = || GroupComputeModel::try_new(&groups, 4, &machine, Some(&store), &obs);
+        let build = || GroupComputeModel::try_new(&groups, 4, &machine, Some(&store));
         let (_, cold) = build().expect("cold");
         assert_eq!(cold, 0);
         let (_, warm) = build().expect("warm");

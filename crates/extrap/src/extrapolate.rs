@@ -553,12 +553,12 @@ impl ElementSeries {
 
 /// Fewest element fits for which the rayon fan-out pays for itself.
 ///
-/// Each fit is well under a microsecond of work (BENCH_extrap measures
-/// ~0.4 µs), while spawning and joining a handful of threads costs on the
-/// order of 100 µs — which is why BENCH_extrap measured a 0.77x "speedup"
-/// on the 420-element paper signature. Signatures below this count take
-/// the serial loop unconditionally; past it the fitting work dominates the
-/// fan-out by several times.
+/// Each fit is well under a microsecond of work (~0.4 µs measured), while
+/// spawning and joining a handful of threads costs on the order of
+/// 100 µs — on the 420-element paper signature the fan-out measured a
+/// 0.77x "speedup". Signatures below this count take the serial loop
+/// unconditionally; past it the fitting work dominates the fan-out by
+/// several times.
 pub const MIN_PAR_FIT_ELEMENTS: usize = 1024;
 
 /// True when [`extrapolate_signature`] will fan element fitting out over
@@ -566,9 +566,8 @@ pub const MIN_PAR_FIT_ELEMENTS: usize = 1024;
 /// the signature must be large enough to amortize thread spawn/join (see
 /// [`MIN_PAR_FIT_ELEMENTS`]), the installed pool must have more than one
 /// thread, and the host must actually have more than one core (threads in
-/// excess of cores only add scheduling overhead). Exposed so benches can
-/// tell a genuine fan-out measurement from two runs of the same serial
-/// path.
+/// excess of cores only add scheduling overhead). Exposed so a measurement
+/// can tell a genuine fan-out from two runs of the same serial path.
 pub fn parallel_fit_enabled(n_elements: usize) -> bool {
     n_elements >= MIN_PAR_FIT_ELEMENTS
         && rayon::current_num_threads() > 1
@@ -909,6 +908,69 @@ mod tests {
 
     fn training() -> Vec<TaskTrace> {
         vec![trace_at(1024), trace_at(2048), trace_at(4096)]
+    }
+
+    /// `training()` with its one block tiled `copies` times.
+    fn tiled_training(copies: usize) -> Vec<TaskTrace> {
+        training()
+            .into_iter()
+            .map(|mut t| {
+                let block = t.blocks[0].clone();
+                t.blocks = (0..copies)
+                    .map(|i| BlockRecord {
+                        name: format!("k{i}"),
+                        ..block.clone()
+                    })
+                    .collect();
+                t
+            })
+            .collect()
+    }
+
+    /// Fits `traces` on a `threads`-wide pool under a recorder; returns
+    /// the synthesized trace and the (serial, parallel) fit-call counts.
+    fn recorded_fit(threads: usize, traces: &[TaskTrace]) -> (TaskTrace, u64, u64) {
+        let obs = ObsContext::with_recorder(xtrace_obs::Recorder::new());
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        let cfg = ExtrapolationConfig::default();
+        let fit = pool
+            .install(|| fit_signature_obs(traces, 8192, &cfg, &obs))
+            .expect("valid ladder");
+        let counters = obs.snapshot().expect("recording context").counters;
+        let calls = |path: &str| {
+            counters
+                .get(&format!("sched.extrap.{path}_fit_calls"))
+                .copied()
+                .unwrap_or(0)
+        };
+        (
+            synthesize_from_fit(&fit),
+            calls("serial"),
+            calls("parallel"),
+        )
+    }
+
+    #[test]
+    fn fit_fan_out_follows_the_element_threshold_without_changing_bits() {
+        let features = FeatureId::all(2).len();
+        // Below the threshold the fit stays serial even on a wide pool.
+        assert!(features < MIN_PAR_FIT_ELEMENTS);
+        let (_, serial, parallel) = recorded_fit(4, &training());
+        assert_eq!((serial, parallel), (1, 0));
+
+        // Past it the fan-out runs wherever the host has a second core,
+        // and its bits equal the one-thread path's.
+        let big = tiled_training(MIN_PAR_FIT_ELEMENTS.div_ceil(features) + 1);
+        let (one_thread, serial, parallel) = recorded_fit(1, &big);
+        assert_eq!((serial, parallel), (1, 0));
+        let (two_threads, serial, parallel) = recorded_fit(2, &big);
+        assert_eq!(two_threads, one_thread);
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let expected = if cores > 1 { (0, 1) } else { (1, 0) };
+        assert_eq!((serial, parallel), expected);
     }
 
     #[test]

@@ -1,109 +1,127 @@
-//! Anomaly detection over the bench-history trajectory.
+//! Regression verdicts over the benchmark history.
 //!
-//! `BENCH_history.jsonl` records every wall-time leg of every bench run.
-//! The original gate compared each fresh leg against its best prior entry
-//! with one flat 15% threshold — blind to per-leg noise levels, so jittery
-//! legs cried wolf while quiet legs could regress 14% silently. This
-//! module replaces it with per-leg, noise-aware verdicts:
+//! `BENCH_history.jsonl` holds one [`HistoryRow`] per end-to-end metric
+//! of every promoted perfbench run (`python3 perfbench/run.py`), tagged
+//! with the commit, the host's core count and the rayon thread count.
+//! `xtrace bench-verdict` judges a fresh run's metrics against the rows
+//! of the same series — same workload, metric, host cores and threads —
+//! so a number is only ever compared with numbers measured the same way.
 //!
-//! * **Robust z-score**: a fresh value is compared against the median of
-//!   its leg's history, scaled by the MAD (median absolute deviation,
-//!   × 1.4826 so it estimates σ under normality). A relative scale floor
-//!   keeps ultra-stable histories from flagging microscopic wobble.
-//! * **Sliding-median changepoints**: adjacent-window median shifts
-//!   locate sustained level changes inside the history. The z-score
-//!   baseline uses only the segment *after* the last changepoint, so an
-//!   accepted regime change (faster or slower) doesn't poison every
-//!   later verdict.
-//! * **Noise floor**: legs whose best prior is below a wall-time floor
-//!   are skipped outright — scheduler jitter alone exceeds any sane
-//!   threshold on sub-quarter-second legs.
+//! Each metric's direction and allowed worsening come from the
+//! `end_to_end` list of `BENCHMARK.json` ([`EndToEndMetric`]), the same
+//! definition of "worse" the benchmark's own comparison uses. A value
+//! regresses only when both hold:
 //!
-//! A leg regresses only when its z-score is extreme **and** it exceeds
-//! the best prior by a minimum relative excess — the first condition is
-//! the statistical gate, the second an absolute guard against flagging
-//! differences smaller than timer noise.
+//! * **Robust z-score**: it sits more than 3.5 scaled MADs (median
+//!   absolute deviation × 1.4826, which estimates σ under normality) on
+//!   the worse side of the series median. A relative scale floor keeps
+//!   ultra-stable series from flagging microscopic wobble.
+//! * **Bound**: it is worse than that median by more than the metric's
+//!   `bound`, as a fraction of the median.
 //!
-//! The module also hosts the bench-report leg extractors (the Rust port
-//! of `scripts/bench_history.py`'s per-bench tables) so the `xtrace
-//! bench-verdict` subcommand and the Python promoter agree on exactly
-//! which floats are wall times.
+//! Sliding-median changepoints locate sustained level changes inside a
+//! series. The baseline uses only the segment after the last one, so an
+//! accepted regime change (faster or slower) does not poison every later
+//! verdict.
 
-use std::collections::BTreeMap;
+use serde::{Deserialize, Serialize};
 
-/// Tunables for [`judge_leg`]. Construct with [`VerdictConfig::default`]
-/// and override fields as needed.
-#[derive(Debug, Clone, Copy)]
-pub struct VerdictConfig {
-    /// Robust z-score above which a leg is statistically anomalous.
-    pub max_z: f64,
-    /// Legs whose best prior is below this wall time are never gated.
-    pub min_seconds: f64,
-    /// Minimum excess over the best prior (as a fraction) for a
-    /// regression verdict — the absolute guard under the z gate.
-    pub min_excess_frac: f64,
-    /// Scale floor as a fraction of the baseline median: the MAD-derived
-    /// scale never drops below `scale_floor_frac × median`, so perfectly
-    /// quiet histories don't flag sub-percent wobble.
-    pub scale_floor_frac: f64,
-    /// Window width for sliding-median changepoint detection.
-    pub window: usize,
-    /// Minimum median shift (as a fraction) for a changepoint.
-    pub min_shift_frac: f64,
+/// Robust z-score beyond which a worsening is statistically anomalous.
+const MAX_Z: f64 = 3.5;
+/// The MAD-derived scale never drops below this fraction of the baseline
+/// median, so perfectly quiet series don't flag sub-percent wobble.
+const SCALE_FLOOR_FRAC: f64 = 0.02;
+/// Window width for sliding-median changepoint detection.
+const CHANGEPOINT_WINDOW: usize = 5;
+/// Minimum median shift (as a fraction) for a changepoint.
+const MIN_SHIFT_FRAC: f64 = 0.25;
+
+/// Which direction of a metric is an improvement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Smaller is better (latency, memory, set-up time).
+    Lower,
+    /// Larger is better (throughput, success ratio).
+    Higher,
 }
 
-impl Default for VerdictConfig {
-    fn default() -> Self {
-        Self {
-            max_z: 3.5,
-            min_seconds: 0.25,
-            min_excess_frac: 0.05,
-            scale_floor_frac: 0.02,
-            window: 5,
-            min_shift_frac: 0.25,
-        }
-    }
-}
-
-/// Outcome of judging one fresh leg value against its history.
+/// One `end_to_end` entry of `BENCHMARK.json`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LegVerdict {
-    /// No prior entries: recorded, never gated.
-    New,
-    /// Best prior below the noise floor: gating would measure the
-    /// scheduler, not the code.
-    SkippedNoiseFloor {
-        /// Best (minimum) prior seconds.
-        best: f64,
-    },
-    /// Within the leg's noise envelope.
-    Ok {
-        /// Best (minimum) prior seconds.
-        best: f64,
-        /// Robust z-score against the post-changepoint baseline.
-        z: f64,
-    },
-    /// Statistically anomalous and materially over the best prior.
-    Regressed {
-        /// Best (minimum) prior seconds.
-        best: f64,
-        /// Robust z-score against the post-changepoint baseline.
-        z: f64,
-        /// `value / best − 1`.
-        excess_frac: f64,
-    },
+pub struct EndToEndMetric {
+    /// Metric name as perfbench prints it (`op_p50_ms`).
+    pub name: String,
+    /// Unit label (`ms`, `1/s`, `MiB`, …).
+    pub unit: String,
+    /// Improvement direction.
+    pub better: Better,
+    /// Largest allowed worsening, as a fraction of the baseline.
+    pub bound: f64,
 }
 
-impl LegVerdict {
-    /// True for the verdicts that must fail a CI gate.
-    pub fn is_regression(&self) -> bool {
-        matches!(self, LegVerdict::Regressed { .. })
-    }
+/// Parses the `end_to_end` metric list of a `BENCHMARK.json` document.
+pub fn end_to_end_metrics(benchmark_json: &str) -> Result<Vec<EndToEndMetric>, String> {
+    let value: serde_json::Value = serde_json::from_str(benchmark_json)
+        .map_err(|e| format!("malformed benchmark JSON: {e}"))?;
+    let list = value
+        .0
+        .get("end_to_end")
+        .and_then(|v| v.as_array())
+        .ok_or("benchmark JSON has no \"end_to_end\" list")?;
+    list.iter()
+        .map(|m| {
+            let text = |key: &str| {
+                m.get(key)
+                    .and_then(|v| v.as_str())
+                    .ok_or(format!("end_to_end metric without \"{key}\""))
+            };
+            let name = text("name")?;
+            let better = match text("better")? {
+                "lower" => Better::Lower,
+                "higher" => Better::Higher,
+                other => return Err(format!("{name}: unknown direction {other:?}")),
+            };
+            let bound = m
+                .get("bound")
+                .and_then(|v| v.as_f64())
+                .filter(|b| *b >= 0.0)
+                .ok_or(format!("{name}: missing or negative \"bound\""))?;
+            Ok(EndToEndMetric {
+                name: name.to_string(),
+                unit: text("unit")?.to_string(),
+                better,
+                bound,
+            })
+        })
+        .collect()
+}
+
+/// Outcome of judging one fresh metric value against its series.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Verdict {
+    /// No prior rows in the series: recorded, never gated.
+    New,
+    /// Within the series' noise envelope or the metric's bound.
+    Ok {
+        /// Median of the post-changepoint baseline.
+        baseline: f64,
+        /// Robust z-score, positive on the worse side.
+        z: f64,
+    },
+    /// Statistically anomalous and worse than the baseline by more than
+    /// the metric's bound.
+    Regressed {
+        /// Median of the post-changepoint baseline.
+        baseline: f64,
+        /// Robust z-score, positive on the worse side.
+        z: f64,
+        /// Worsening as a fraction of the baseline.
+        worse_frac: f64,
+    },
 }
 
 /// Median of a sample (mean of the middle pair for even lengths).
 /// Returns 0 for an empty slice so callers can stay guard-free.
-pub fn median(xs: &[f64]) -> f64 {
+fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -121,7 +139,7 @@ pub fn median(xs: &[f64]) -> f64 {
 /// in units of the scaled MAD (× 1.4826 ≈ σ under normality). The scale is
 /// floored at `scale_floor_frac × |median|` (and an absolute epsilon) so a
 /// constant history cannot produce infinite scores.
-pub fn robust_z(baseline: &[f64], value: f64, scale_floor_frac: f64) -> f64 {
+fn robust_z(baseline: &[f64], value: f64, scale_floor_frac: f64) -> f64 {
     if baseline.is_empty() {
         return 0.0;
     }
@@ -136,15 +154,12 @@ pub fn robust_z(baseline: &[f64], value: f64, scale_floor_frac: f64) -> f64 {
 
 /// A sustained level shift inside a series.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Changepoint {
+struct Changepoint {
     /// First index of the post-shift regime.
-    pub index: usize,
-    /// Median of the `window` entries before the split.
-    pub before_median: f64,
-    /// Median of the `window` entries after the split.
-    pub after_median: f64,
-    /// `after / before − 1` (positive = slower).
-    pub shift_frac: f64,
+    index: usize,
+    /// `after / before − 1` of the `window`-entry medians either side of
+    /// the split (positive = larger).
+    shift_frac: f64,
 }
 
 /// Sliding-median changepoint detection: slides a split point through
@@ -153,7 +168,7 @@ pub struct Changepoint {
 /// `min_shift_frac` — or `None` when the series is too short or no shift
 /// clears the bar. Medians (not means) keep one-off spikes from
 /// masquerading as level changes.
-pub fn sliding_median_changepoint(
+fn sliding_median_changepoint(
     series: &[f64],
     window: usize,
     min_shift_frac: f64,
@@ -193,8 +208,6 @@ pub fn sliding_median_changepoint(
             best = Some((
                 Changepoint {
                     index: i,
-                    before_median: before,
-                    after_median: after,
                     shift_frac: shift,
                 },
                 cost,
@@ -204,265 +217,257 @@ pub fn sliding_median_changepoint(
     best.map(|(cp, _)| cp)
 }
 
-/// The z-score baseline for a history: everything after the last detected
+/// The baseline for a series: everything after the last detected
 /// changepoint, so verdicts track the current regime instead of averaging
-/// across accepted level shifts. Falls back to the whole history when no
+/// across accepted level shifts. Falls back to the whole series when no
 /// changepoint is found.
-pub fn baseline_segment<'a>(history: &'a [f64], cfg: &VerdictConfig) -> &'a [f64] {
-    match sliding_median_changepoint(history, cfg.window, cfg.min_shift_frac) {
+fn baseline_segment(history: &[f64]) -> &[f64] {
+    match sliding_median_changepoint(history, CHANGEPOINT_WINDOW, MIN_SHIFT_FRAC) {
         Some(cp) => &history[cp.index..],
         None => history,
     }
 }
 
-/// Judges one fresh leg value against its chronological history.
-pub fn judge_leg(history: &[f64], value: f64, cfg: &VerdictConfig) -> LegVerdict {
+/// Judges one fresh value of `metric` against its chronological series.
+pub fn judge(history: &[f64], value: f64, metric: &EndToEndMetric) -> Verdict {
     if history.is_empty() {
-        return LegVerdict::New;
+        return Verdict::New;
     }
-    let best = history.iter().copied().fold(f64::INFINITY, f64::min);
-    if best < cfg.min_seconds {
-        return LegVerdict::SkippedNoiseFloor { best };
-    }
-    let z = robust_z(baseline_segment(history, cfg), value, cfg.scale_floor_frac);
-    let excess_frac = value / best - 1.0;
-    if z > cfg.max_z && excess_frac > cfg.min_excess_frac {
-        LegVerdict::Regressed {
-            best,
-            z,
-            excess_frac,
-        }
-    } else {
-        LegVerdict::Ok { best, z }
-    }
-}
-
-/// `BENCH_collect.json` (any directory) → `collect`; `None` for paths
-/// outside the naming convention.
-pub fn bench_name(path: &str) -> Option<&str> {
-    let stem = path.rsplit(['/', '\\']).next()?;
-    stem.strip_prefix("BENCH_")?.strip_suffix(".json")
-}
-
-/// The (bench, leg, mode) identity of one history entry.
-pub type LegKey = (String, String, String);
-
-/// Extracted wall-time legs of one bench report: the run mode plus
-/// `(leg, seconds)` rows in extraction order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtractedLegs {
-    /// `"quick"` or `"full"` (the report's `quick` flag).
-    pub mode: String,
-    /// Leg name → wall seconds, in extraction order.
-    pub legs: Vec<(String, f64)>,
-}
-
-fn value_f64(v: &serde::Value) -> Option<f64> {
-    v.as_f64()
-}
-
-fn nested_wall(root: &serde::Value, key: &str, out: &mut Vec<(String, f64)>) {
-    if let Some(s) = root
-        .get(key)
-        .and_then(|v| v.get("wall_s"))
-        .and_then(value_f64)
-    {
-        out.push((key.to_string(), s));
-    }
-}
-
-fn field_wall(root: &serde::Value, field: &str, leg: &str, out: &mut Vec<(String, f64)>) {
-    if let Some(s) = root.get(field).and_then(value_f64) {
-        out.push((leg.to_string(), s));
-    }
-}
-
-/// Extracts every known wall-time leg from a bench report. The tables are
-/// explicit per bench — a regression gate should never guess which floats
-/// are wall times — and mirror `scripts/bench_history.py` exactly.
-/// Unknown benches yield an empty leg list.
-pub fn extract_legs(bench: &str, report_json: &str) -> Result<ExtractedLegs, String> {
-    let value: serde_json::Value =
-        serde_json::from_str(report_json).map_err(|e| format!("malformed report JSON: {e}"))?;
-    let root = &value.0;
-    let mode = if root.get("quick").and_then(|v| v.as_bool()).unwrap_or(false) {
-        "quick"
-    } else {
-        "full"
+    let segment = baseline_segment(history);
+    let baseline = median(segment);
+    let worse_sign = match metric.better {
+        Better::Lower => 1.0,
+        Better::Higher => -1.0,
     };
-    let mut legs: Vec<(String, f64)> = Vec::new();
-    match bench {
-        "collect" => {
-            for key in [
-                "seed_serial",
-                "current_serial",
-                "parallel_memo",
-                "streaming_wide",
-            ] {
-                nested_wall(root, key, &mut legs);
-            }
-            field_wall(root, "store_cold_s", "store_cold", &mut legs);
-            field_wall(root, "store_resume_s", "store_resume", &mut legs);
+    let z = worse_sign * robust_z(segment, value, SCALE_FLOOR_FRAC);
+    let worse_frac = if baseline == 0.0 {
+        0.0
+    } else {
+        worse_sign * (value - baseline) / baseline.abs()
+    };
+    if z > MAX_Z && worse_frac > metric.bound {
+        Verdict::Regressed {
+            baseline,
+            z,
+            worse_frac,
         }
-        "extrap" => {
-            for cfg in root
-                .get("configs")
-                .and_then(|v| v.as_array())
-                .unwrap_or(&[])
-            {
-                let Some(name) = cfg.get("name").and_then(|v| v.as_str()) else {
-                    continue;
-                };
-                field_wall(cfg, "serial_wall_s", &format!("{name}.serial"), &mut legs);
-                field_wall(
-                    cfg,
-                    "parallel_wall_s",
-                    &format!("{name}.parallel"),
-                    &mut legs,
-                );
-            }
-        }
-        "convolve" => {
-            for app in root.get("apps").and_then(|v| v.as_array()).unwrap_or(&[]) {
-                let Some(name) = app.get("app").and_then(|v| v.as_str()) else {
-                    continue;
-                };
-                for field in [
-                    "seed_serial_wall_s",
-                    "current_serial_wall_s",
-                    "dedup_serial_wall_s",
-                    "dedup_parallel_wall_s",
-                ] {
-                    let leg = format!("{name}.{}", field.trim_end_matches("_wall_s"));
-                    field_wall(app, field, &leg, &mut legs);
-                }
-            }
-        }
-        "obs" => {
-            for leg in ["plain", "recorded", "journal", "attributed"] {
-                field_wall(root, &format!("{leg}_wall_s"), leg, &mut legs);
-            }
-        }
-        "sweep" => {
-            field_wall(root, "single_cold_wall_s", "single_cold", &mut legs);
-            field_wall(root, "sweep_cold_wall_s", "sweep_cold", &mut legs);
-            field_wall(
-                root,
-                "marginal_per_extra_target_s",
-                "marginal_per_extra_target",
-                &mut legs,
-            );
-        }
-        "serve" => {
-            field_wall(root, "cold_wall_s", "cold", &mut legs);
-            field_wall(root, "warm_wall_s", "warm", &mut legs);
-            if let Some(rps) = root.get("warm_requests_per_sec").and_then(value_f64) {
-                if rps > 0.0 {
-                    // Seconds per request, so "lower is better" holds like
-                    // every other gated leg.
-                    legs.push(("warm_per_request".to_string(), 1.0 / rps));
-                }
-            }
-        }
-        _ => {}
+    } else {
+        Verdict::Ok { baseline, z }
     }
-    Ok(ExtractedLegs {
-        mode: mode.to_string(),
-        legs,
-    })
 }
 
-/// Parses `BENCH_history.jsonl` into chronological per-leg series (file
-/// order is append order is chronological order). Malformed lines are
-/// hard errors — a regression gate must not quietly judge against a
-/// truncated history.
-pub fn history_series(jsonl: &str) -> Result<BTreeMap<LegKey, Vec<f64>>, String> {
-    let mut series: BTreeMap<LegKey, Vec<f64>> = BTreeMap::new();
-    for (lineno, line) in jsonl.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let value: serde_json::Value = serde_json::from_str(line)
-            .map_err(|e| format!("history line {}: malformed JSON ({e})", lineno + 1))?;
-        let root = &value.0;
-        let field = |name: &str| -> Result<String, String> {
-            root.get(name)
+/// What `bench-verdict` needs from one saved perfbench stdout: the first
+/// line's `context` and the last line's result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfbenchRun {
+    /// Workload name (`paper-cold`, …).
+    pub workload: String,
+    /// Commit the run measured.
+    pub commit: String,
+    /// `context.nproc`: cores of the measuring host.
+    pub nproc: u64,
+    /// `context.rayon_threads`.
+    pub rayon_threads: u64,
+    /// `context.trace == 1`: the metrics are the per-layer ledger.
+    pub traced: bool,
+    /// Every prediction matched its reference.
+    pub correct: bool,
+    /// Result metrics, name → value, in printed order.
+    pub metrics: Vec<(String, f64)>,
+}
+
+impl PerfbenchRun {
+    /// Parses a saved perfbench stdout.
+    pub fn parse(output: &str) -> Result<Self, String> {
+        let mut lines = output.lines().filter(|l| !l.trim().is_empty());
+        let (Some(first), Some(last)) = (lines.next(), lines.next_back()) else {
+            return Err("not a perfbench output: needs a context line and a result line".into());
+        };
+        let parse = |line: &str, what: &str| -> Result<serde::Value, String> {
+            serde_json::from_str::<serde_json::Value>(line)
+                .map(|v| v.0)
+                .map_err(|e| format!("malformed {what} line: {e}"))
+        };
+        let head = parse(first, "context")?;
+        let context = head.get("context").ok_or("first line has no \"context\"")?;
+        let text = |key: &str| {
+            context
+                .get(key)
                 .and_then(|v| v.as_str())
                 .map(str::to_string)
-                .ok_or_else(|| format!("history line {}: missing \"{name}\"", lineno + 1))
+                .ok_or(format!("context without \"{key}\""))
         };
-        let seconds = root
-            .get("seconds")
-            .and_then(value_f64)
-            .ok_or_else(|| format!("history line {}: missing \"seconds\"", lineno + 1))?;
-        series
-            .entry((field("bench")?, field("leg")?, field("mode")?))
-            .or_default()
-            .push(seconds);
+        let count = |key: &str| {
+            context
+                .get(key)
+                .and_then(|v| v.as_u64())
+                .ok_or(format!("context without \"{key}\""))
+        };
+        let result = parse(last, "result")?;
+        let correct = result
+            .get("correct")
+            .and_then(|v| v.as_bool())
+            .ok_or("result line has no \"correct\"")?;
+        let metrics = result
+            .get("metrics")
+            .and_then(|v| v.as_object())
+            .ok_or("result line has no \"metrics\"")?
+            .iter()
+            .map(|(name, m)| {
+                m.get("value")
+                    .and_then(|v| v.as_f64())
+                    .map(|v| (name.clone(), v))
+                    .ok_or(format!("metric {name} has no \"value\""))
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Self {
+            workload: text("workload")?,
+            commit: text("commit")?,
+            nproc: count("nproc")?,
+            rayon_threads: count("rayon_threads")?,
+            traced: count("trace")? != 0,
+            correct,
+            metrics,
+        })
     }
-    Ok(series)
+
+    /// One history row per end-to-end metric, in `metrics` order. Fails
+    /// when the run lacks one of them.
+    pub fn history_rows(
+        &self,
+        metrics: &[EndToEndMetric],
+        date: &str,
+    ) -> Result<Vec<HistoryRow>, String> {
+        metrics
+            .iter()
+            .map(|m| {
+                let value = self
+                    .metrics
+                    .iter()
+                    .find(|(name, _)| *name == m.name)
+                    .map(|(_, v)| *v)
+                    .ok_or(format!("{}: run has no metric {}", self.workload, m.name))?;
+                Ok(HistoryRow {
+                    workload: self.workload.clone(),
+                    metric: m.name.clone(),
+                    value,
+                    unit: m.unit.clone(),
+                    commit: self.commit.clone(),
+                    host_cores: self.nproc,
+                    threads: self.rayon_threads,
+                    date: date.to_string(),
+                })
+            })
+            .collect()
+    }
+}
+
+/// One line of `BENCH_history.jsonl`: one end-to-end metric of one
+/// promoted perfbench run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct HistoryRow {
+    /// Workload name.
+    pub workload: String,
+    /// End-to-end metric name.
+    pub metric: String,
+    /// Measured value.
+    pub value: f64,
+    /// Unit label.
+    pub unit: String,
+    /// Commit the run measured.
+    pub commit: String,
+    /// Cores of the measuring host.
+    pub host_cores: u64,
+    /// Rayon threads of the run.
+    pub threads: u64,
+    /// UTC date the row was recorded, `YYYY-MM-DD`.
+    pub date: String,
+}
+
+impl HistoryRow {
+    /// True when `other` measures the same thing the same way: same
+    /// workload, metric, host cores and threads.
+    pub fn same_series(&self, other: &HistoryRow) -> bool {
+        self.workload == other.workload
+            && self.metric == other.metric
+            && self.host_cores == other.host_cores
+            && self.threads == other.threads
+    }
+}
+
+/// Parses `BENCH_history.jsonl` (file order is append order is
+/// chronological order). Malformed lines are hard errors — a regression
+/// gate must not quietly judge against a truncated history.
+pub fn history_rows(jsonl: &str) -> Result<Vec<HistoryRow>, String> {
+    jsonl
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            serde_json::from_str(line).map_err(|e| format!("history line {}: {e}", i + 1))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Deterministic ~1s history with sub-percent pseudo-jitter.
+    /// Deterministic series near 1000 with sub-percent pseudo-jitter.
     fn noisy_history(n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| 1.0 + ((i * 37) % 11) as f64 * 1e-3)
-            .collect()
+        (0..n).map(|i| 1000.0 + ((i * 37) % 11) as f64).collect()
     }
 
-    #[test]
-    fn step_change_is_caught() {
-        let history = noisy_history(30);
-        let verdict = judge_leg(&history, 1.5, &VerdictConfig::default());
-        assert!(verdict.is_regression(), "{verdict:?}");
-        if let LegVerdict::Regressed { z, excess_frac, .. } = verdict {
-            assert!(z > 3.5);
-            assert!(excess_frac > 0.4);
+    fn metric(better: Better, bound: f64) -> EndToEndMetric {
+        EndToEndMetric {
+            name: "m".into(),
+            unit: "ms".into(),
+            better,
+            bound,
         }
     }
 
     #[test]
-    fn jitter_within_the_noise_envelope_passes() {
+    fn a_step_past_the_bound_is_caught_in_the_worse_direction_only() {
         let history = noisy_history(30);
-        // One scale-floor's worth above the median: statistically boring.
-        let verdict = judge_leg(&history, 1.02, &VerdictConfig::default());
-        assert!(matches!(verdict, LegVerdict::Ok { .. }), "{verdict:?}");
+        let lower = metric(Better::Lower, 0.2);
+        let Verdict::Regressed { z, worse_frac, .. } = judge(&history, 1500.0, &lower) else {
+            panic!("a 50% step past a 20% bound must regress");
+        };
+        assert!(z > MAX_Z && worse_frac > 0.4);
+        // The same step is an improvement when higher is better.
+        let higher = metric(Better::Higher, 0.2);
+        assert!(matches!(
+            judge(&history, 1500.0, &higher),
+            Verdict::Ok { .. }
+        ));
+        assert!(matches!(
+            judge(&history, 500.0, &higher),
+            Verdict::Regressed { .. }
+        ));
     }
 
     #[test]
-    fn sub_noise_floor_legs_are_skipped_even_when_10x_slower() {
-        // Best prior 0.1s: 1-core scheduler jitter exceeds any threshold.
-        let history = vec![0.12, 0.1, 0.11];
-        let verdict = judge_leg(&history, 1.0, &VerdictConfig::default());
+    fn an_anomaly_inside_the_bound_passes() {
+        // Far outside the noise (large z) but only 10% worse: the 20%
+        // bound holds it.
+        let history = noisy_history(30);
+        let verdict = judge(&history, 1100.0, &metric(Better::Lower, 0.2));
         assert!(
-            matches!(verdict, LegVerdict::SkippedNoiseFloor { best } if best == 0.1),
+            matches!(verdict, Verdict::Ok { z, .. } if z > MAX_Z),
             "{verdict:?}"
         );
+        // A tight bound with a z below the gate still passes.
+        let verdict = judge(&history, 1012.0, &metric(Better::Lower, 0.0));
+        assert!(matches!(verdict, Verdict::Ok { .. }), "{verdict:?}");
     }
 
     #[test]
-    fn empty_and_first_entry_histories_pass() {
-        assert_eq!(
-            judge_leg(&[], 5.0, &VerdictConfig::default()),
-            LegVerdict::New
-        );
-        // A single prior entry gates but cannot regress on equal value.
-        let verdict = judge_leg(&[2.0], 2.0, &VerdictConfig::default());
-        assert!(matches!(verdict, LegVerdict::Ok { .. }), "{verdict:?}");
-    }
-
-    #[test]
-    fn excess_guard_blocks_statistical_flukes_near_best() {
-        // Dead-flat history: even a microscopic bump has huge raw z, but
-        // the scale floor and excess guard keep it Ok.
-        let history = vec![1.0; 20];
-        let verdict = judge_leg(&history, 1.002, &VerdictConfig::default());
-        assert!(matches!(verdict, LegVerdict::Ok { .. }), "{verdict:?}");
+    fn empty_and_single_row_series() {
+        let m = metric(Better::Lower, 0.2);
+        assert_eq!(judge(&[], 5.0, &m), Verdict::New);
+        let verdict = judge(&[2.0], 2.0, &m);
+        assert!(matches!(verdict, Verdict::Ok { .. }), "{verdict:?}");
     }
 
     #[test]
@@ -483,12 +488,12 @@ mod tests {
         // pass; a fresh step on top of it still fails.
         let mut history = vec![1.0; 10];
         history.extend(vec![2.0; 10]);
-        let cfg = VerdictConfig::default();
-        assert_eq!(baseline_segment(&history, &cfg), &history[10..]);
-        let verdict = judge_leg(&history, 2.02, &cfg);
-        assert!(matches!(verdict, LegVerdict::Ok { .. }), "{verdict:?}");
-        let verdict = judge_leg(&history, 3.0, &cfg);
-        assert!(verdict.is_regression(), "{verdict:?}");
+        let m = metric(Better::Lower, 0.2);
+        assert_eq!(baseline_segment(&history), &history[10..]);
+        let verdict = judge(&history, 2.02, &m);
+        assert!(matches!(verdict, Verdict::Ok { .. }), "{verdict:?}");
+        let verdict = judge(&history, 3.0, &m);
+        assert!(matches!(verdict, Verdict::Regressed { .. }), "{verdict:?}");
     }
 
     #[test]
@@ -496,82 +501,56 @@ mod tests {
         // One wild spike in the baseline barely moves median/MAD, so the
         // fresh value is still judged against the quiet bulk.
         let mut baseline = noisy_history(20);
-        baseline[7] = 50.0;
-        assert!(robust_z(&baseline, 1.5, 0.02) > 3.5);
-        assert!(robust_z(&baseline, 1.005, 0.02).abs() < 3.5);
+        baseline[7] = 50_000.0;
+        assert!(robust_z(&baseline, 1500.0, 0.02) > 3.5);
+        assert!(robust_z(&baseline, 1005.0, 0.02).abs() < 3.5);
         assert_eq!(robust_z(&[], 1.0, 0.02), 0.0);
     }
 
     #[test]
-    fn bench_names_parse() {
-        assert_eq!(bench_name("BENCH_collect.json"), Some("collect"));
-        assert_eq!(bench_name("/tmp/x/BENCH_sweep.json"), Some("sweep"));
-        assert_eq!(bench_name("notes.json"), None);
-        assert_eq!(bench_name("BENCH_x.txt"), None);
+    fn benchmark_metrics_parse_with_direction_and_bound() {
+        let json = r#"{"end_to_end": [
+            {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.2},
+            {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}]}"#;
+        let metrics = end_to_end_metrics(json).unwrap();
+        assert_eq!(metrics.len(), 2);
+        assert_eq!(metrics[1].better, Better::Higher);
+        assert_eq!(metrics[0].bound, 0.2);
+        assert!(end_to_end_metrics(r#"{"end_to_end": [{"name": "x"}]}"#).is_err());
+        assert!(end_to_end_metrics("{}").is_err());
     }
 
     #[test]
-    fn extractors_mirror_the_python_tables() {
-        let sweep = r#"{"quick": true, "single_cold_wall_s": 1.5,
-                        "sweep_cold_wall_s": 2.0,
-                        "marginal_per_extra_target_s": 0.01}"#;
-        let got = extract_legs("sweep", sweep).unwrap();
-        assert_eq!(got.mode, "quick");
-        assert_eq!(
-            got.legs,
-            vec![
-                ("single_cold".to_string(), 1.5),
-                ("sweep_cold".to_string(), 2.0),
-                ("marginal_per_extra_target".to_string(), 0.01),
-            ]
+    fn perfbench_output_parses_into_one_row_per_metric() {
+        let output = concat!(
+            "{\"context\": {\"workload\": \"sweep-extend\", \"commit\": \"abc\", ",
+            "\"nproc\": 2, \"rayon_threads\": 2, \"trace\": 0, \"ops\": 9}}\n",
+            "summary: 9 ops\n",
+            "{\"correct\": true, \"attempted\": 9, \"failed\": 0, \"metrics\": ",
+            "{\"op_p50_ms\": {\"value\": 700.5, \"unit\": \"ms\"}}}\n",
         );
-
-        let obs = r#"{"plain_wall_s": 1.0, "recorded_wall_s": 1.01,
-                      "journal_wall_s": 1.02, "attributed_wall_s": 1.005}"#;
-        let got = extract_legs("obs", obs).unwrap();
-        assert_eq!(got.mode, "full");
-        assert_eq!(got.legs.len(), 4);
-        assert_eq!(got.legs[3], ("attributed".to_string(), 1.005));
-
-        let convolve = r#"{"apps": [{"app": "specfem3d",
-                           "dedup_parallel_wall_s": 0.5}]}"#;
-        let got = extract_legs("convolve", convolve).unwrap();
-        assert_eq!(
-            got.legs,
-            vec![("specfem3d.dedup_parallel".to_string(), 0.5)]
-        );
-
-        let serve = r#"{"cold_wall_s": 2.0, "warm_requests_per_sec": 100.0}"#;
-        let got = extract_legs("serve", serve).unwrap();
-        assert_eq!(
-            got.legs,
-            vec![
-                ("cold".to_string(), 2.0),
-                ("warm_per_request".to_string(), 0.01),
-            ]
-        );
-
-        assert!(extract_legs("unknown", "{}").unwrap().legs.is_empty());
-        assert!(extract_legs("sweep", "not json").is_err());
+        let run = PerfbenchRun::parse(output).unwrap();
+        assert_eq!((run.nproc, run.rayon_threads), (2, 2));
+        assert!(run.correct && !run.traced);
+        let rows = run
+            .history_rows(&[metric(Better::Lower, 0.2)], "2026-01-01")
+            .unwrap_err();
+        assert!(rows.contains("no metric m"), "{rows}");
+        let mut op = metric(Better::Lower, 0.2);
+        op.name = "op_p50_ms".into();
+        let rows = run.history_rows(&[op], "2026-01-01").unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].value, 700.5);
+        assert_eq!(rows[0].host_cores, 2);
+        let line = serde_json::to_string(&rows[0]).unwrap();
+        assert_eq!(history_rows(&line).unwrap(), rows);
+        assert!(PerfbenchRun::parse("summary only\n").is_err());
     }
 
     #[test]
-    fn history_parses_and_rejects_malformed_lines() {
-        let jsonl = concat!(
-            "{\"bench\":\"sweep\",\"leg\":\"single_cold\",\"mode\":\"full\",",
-            "\"seconds\":2.0,\"date\":\"2026-08-01\"}\n",
-            "\n",
-            "{\"bench\":\"sweep\",\"leg\":\"single_cold\",\"mode\":\"full\",",
-            "\"seconds\":1.8,\"date\":\"2026-08-02\"}\n",
-        );
-        let series = history_series(jsonl).unwrap();
-        let key = (
-            "sweep".to_string(),
-            "single_cold".to_string(),
-            "full".to_string(),
-        );
-        assert_eq!(series[&key], vec![2.0, 1.8]);
-        assert!(history_series("{\"bench\":\"x\"}").is_err());
-        assert!(history_series("not json").is_err());
+    fn history_rejects_malformed_lines() {
+        assert!(history_rows("\n\n").unwrap().is_empty());
+        assert!(history_rows("{\"workload\":\"x\"}").is_err());
+        assert!(history_rows("not json").is_err());
     }
 }

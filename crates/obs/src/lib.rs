@@ -23,9 +23,11 @@
 //!   Perfetto. Off by default: only a [`Recorder::with_journal`]
 //!   recorder buffers events; any other context vends the same
 //!   one-relaxed-load no-op [`JournalHandle`].
-//! * **Bench anomaly detection** ([`judge_leg`], [`VerdictConfig`]):
-//!   robust z-score + sliding-median changepoint verdicts over the
-//!   bench-history trajectory, backing `xtrace bench-verdict`.
+//! * **Benchmark verdicts** ([`judge`], [`PerfbenchRun`], [`HistoryRow`]):
+//!   robust z-score + sliding-median changepoint verdicts of perfbench
+//!   runs against like-for-like `BENCH_history.jsonl` rows, with each
+//!   metric's direction and bound from `BENCHMARK.json`, backing
+//!   `xtrace bench-verdict`.
 //! * **Fit diagnostics** ([`FitDiagnostics`]): the per-element
 //!   canonical-form selection record (candidate SSE/R², residuals,
 //!   extrapolation distance) persisted through the artifact store and
@@ -38,9 +40,9 @@
 //! pipeline and down into every emission site. Kernels fetch
 //! [`ObsContext::metrics`] *once at entry* and carry the handles into
 //! their loops. A disabled context makes every handle a no-op — the
-//! `NullRecorder` fast path; `bench_obs` bounds the end-to-end cost at
-//! <2% and asserts predictions are bit-identical with and without a live
-//! recorder. Because contexts are plain values, N pipelines in one
+//! `NullRecorder` fast path. Predictions are bit-identical with and
+//! without a live recorder (`tests/observability.rs`), and every engine
+//! run records, so perfbench's `op_p50_ms` bound gates the cost. Because contexts are plain values, N pipelines in one
 //! process each record into their own snapshot with no shared state and
 //! no test serialization:
 //!
@@ -81,8 +83,8 @@ mod metrics;
 mod span;
 
 pub use anomaly::{
-    baseline_segment, bench_name, extract_legs, history_series, judge_leg, median, robust_z,
-    sliding_median_changepoint, Changepoint, ExtractedLegs, LegKey, LegVerdict, VerdictConfig,
+    end_to_end_metrics, history_rows, judge, Better, EndToEndMetric, HistoryRow, PerfbenchRun,
+    Verdict,
 };
 pub use chrome::chrome_trace;
 pub use context::ObsContext;

@@ -146,10 +146,9 @@ pub struct GroupComputeModel {
 }
 
 impl GroupComputeModel {
-    /// Builds the model for `nranks` ranks from signature groups, recording
-    /// convolve telemetry into `obs`. With a `cache`, per-group convolution
-    /// results are memoized there; the second return value counts the
-    /// cache hits (always 0 without one).
+    /// Builds the model for `nranks` ranks from signature groups. With a
+    /// `cache`, per-group convolution results are memoized there; the
+    /// second return value counts the cache hits (always 0 without one).
     ///
     /// Fails with [`PredictError::GroupCoverage`] if the groups cover fewer
     /// ranks than `nranks`, and with [`PredictError::MachineMismatch`] if a
@@ -159,9 +158,8 @@ impl GroupComputeModel {
         nranks: u32,
         machine: &MachineProfile,
         cache: Option<&dyn ConvolveCache>,
-        obs: &ObsContext,
     ) -> Result<(Self, usize), PredictError> {
-        let (tables, hits) = Self::convolve_all(groups, nranks, machine, cache, obs)?;
+        let (tables, hits) = Self::convolve_all(groups, nranks, machine, cache)?;
         Ok((Self::from_tables(groups, nranks, tables), hits))
     }
 
@@ -172,7 +170,6 @@ impl GroupComputeModel {
         nranks: u32,
         machine: &MachineProfile,
         cache: Option<&dyn ConvolveCache>,
-        obs: &ObsContext,
     ) -> Result<(Vec<GroupBlockTimes>, usize), PredictError> {
         let covered: u64 = groups.iter().map(|(_, n)| n).sum();
         if covered < u64::from(nranks) {
@@ -217,45 +214,6 @@ impl GroupComputeModel {
                 cache.put_group(key, &table);
             }
             slots[gi] = Some(table);
-        }
-        // Observability: group and hit counts are input-determined (cache
-        // probing happens serially above), never scheduling-dependent.
-        let metrics = obs.metrics();
-        if metrics.enabled() {
-            metrics
-                .counter("psins.groups_convolved")
-                .add(pending.len() as u64);
-            if cache.is_some() {
-                metrics
-                    .counter("psins.convolve_cache.hits")
-                    .add(hits as u64);
-                metrics
-                    .counter("psins.convolve_cache.misses")
-                    .add(pending.len() as u64);
-            }
-        }
-        // Journal: one instant per convolved group, emitted here (serial,
-        // after the possibly-parallel convolution reassembled in group
-        // order) so the stream is deterministic. `cached` records whether
-        // the group's table came from the convolve cache.
-        let journal = obs.journal();
-        if journal.enabled() {
-            let mut was_pending = vec![false; groups.len()];
-            for &gi in &pending {
-                was_pending[gi] = true;
-            }
-            for (gi, (trace, n)) in groups.iter().enumerate() {
-                journal.instant(
-                    "psins.convolve.group",
-                    "convolve",
-                    &[
-                        ("group", gi as f64),
-                        ("ranks", *n as f64),
-                        ("blocks", trace.blocks.len() as f64),
-                        ("cached", f64::from(u8::from(!was_pending[gi]))),
-                    ],
-                );
-            }
         }
         let tables = slots
             .into_iter()
@@ -339,8 +297,7 @@ pub fn try_replay_groups(
     groups: &[(TaskTrace, u64)],
     machine: &MachineProfile,
 ) -> Result<SimReport, PredictError> {
-    let (mut model, _) =
-        GroupComputeModel::try_new(groups, nranks, machine, None, &ObsContext::disabled())?;
+    let (mut model, _) = GroupComputeModel::try_new(groups, nranks, machine, None)?;
     let classes = RankClasses::try_from_app(app, nranks).map_err(sim_err)?;
     simulate(&classes, &machine.net, &mut model, &ObsContext::disabled()).map_err(sim_err)
 }
@@ -354,8 +311,7 @@ pub fn try_replay_groups_traced(
     groups: &[(TaskTrace, u64)],
     machine: &MachineProfile,
 ) -> Result<(SimReport, Vec<TimelineEntry>), PredictError> {
-    let (mut model, _) =
-        GroupComputeModel::try_new(groups, nranks, machine, None, &ObsContext::disabled())?;
+    let (mut model, _) = GroupComputeModel::try_new(groups, nranks, machine, None)?;
     let classes = RankClasses::try_from_app(app, nranks).map_err(sim_err)?;
     simulate_timeline(&classes, &machine.net, &mut model).map_err(sim_err)
 }
@@ -487,15 +443,6 @@ mod tests {
     use xtrace_machine::presets;
     use xtrace_tracer::{collect_task_trace, SigMemo};
 
-    fn build(
-        groups: &[(TaskTrace, u64)],
-        nranks: u32,
-        machine: &MachineProfile,
-        cache: Option<&dyn ConvolveCache>,
-    ) -> Result<(GroupComputeModel, usize), PredictError> {
-        GroupComputeModel::try_new(groups, nranks, machine, cache, &ObsContext::disabled())
-    }
-
     fn groups_for(
         app: &StencilProxy,
         nranks: u32,
@@ -589,7 +536,7 @@ mod tests {
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
         let t0 = collect_task_trace(&app, 0, 8, &machine, &cfg, None, &ObsContext::disabled());
-        let err = build(&[(t0, 2)], 8, &machine, None)
+        let err = GroupComputeModel::try_new(&[(t0, 2)], 8, &machine, None)
             .err()
             .expect("undersized groups must fail");
         assert_eq!(
@@ -609,7 +556,7 @@ mod tests {
         let cfg = TracerConfig::fast();
         let t0 = collect_task_trace(&app, 0, 4, &machine, &cfg, None, &ObsContext::disabled());
         let other = presets::bluewaters_phase1();
-        let err = build(&[(t0, 4)], 4, &other, None)
+        let err = GroupComputeModel::try_new(&[(t0, 4)], 4, &other, None)
             .err()
             .expect("machine mismatch must fail");
         assert!(matches!(err, PredictError::MachineMismatch { .. }));
@@ -639,14 +586,18 @@ mod tests {
         let groups = groups_for(&app, 8, &machine);
         let cache = MemCache::default();
 
-        let (_, cold_hits) = build(&groups, 8, &machine, Some(&cache)).expect("cold build");
+        let (_, cold_hits) =
+            GroupComputeModel::try_new(&groups, 8, &machine, Some(&cache)).expect("cold build");
         assert_eq!(cold_hits, 0);
-        let (_, warm_hits) = build(&groups, 8, &machine, Some(&cache)).expect("warm build");
+        let (_, warm_hits) =
+            GroupComputeModel::try_new(&groups, 8, &machine, Some(&cache)).expect("warm build");
         assert_eq!(warm_hits, 2, "both group tables should come from cache");
 
         // The replay through the cache matches the uncached replay exactly.
-        let (mut cached_model, _) = build(&groups, 8, &machine, Some(&cache)).expect("warm build");
-        let (mut plain_model, plain_hits) = build(&groups, 8, &machine, None).expect("build");
+        let (mut cached_model, _) =
+            GroupComputeModel::try_new(&groups, 8, &machine, Some(&cache)).expect("warm build");
+        let (mut plain_model, plain_hits) =
+            GroupComputeModel::try_new(&groups, 8, &machine, None).expect("build");
         assert_eq!(plain_hits, 0);
         let classes = RankClasses::try_from_app(&app, 8).expect("classes build");
         let obs = ObsContext::disabled();

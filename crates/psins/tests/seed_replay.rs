@@ -1,24 +1,29 @@
-//! Frozen seed replay path, for `bench_convolve` baselines.
+//! The frozen seed replay path as a test oracle.
 //!
-//! This module is a faithful copy of the convolution/replay stage as it
-//! stood before the scale-out work: the string-keyed per-group compute
+//! The code below is a faithful copy of the convolution/replay stage as
+//! it stood before the scale-out work: the string-keyed per-group compute
 //! model, full per-rank program materialization, and the per-rank
 //! bulk-synchronous walk that re-validates shapes and clones the arrival
-//! vector every event. It exists so the bench can time the *seed* code
-//! against today's deduplicated, interned, class-based path and assert the
-//! reports never drifted. **Do not "improve" this code** — its value is
-//! that it does not change.
+//! vector every event. The test pins today's replay legs to it bit for
+//! bit: the interned model down the naive walk, and the class-deduplicated
+//! replay on one thread and on several. **Do not "improve" the oracle** —
+//! its value is that it does not change.
 
 use std::collections::HashMap;
 
-use xtrace_machine::MachineProfile;
-use xtrace_psins::try_predict_runtime;
-use xtrace_spmd::{ComputeModel, RankEvent, RankProgram, RankTimes, SimReport, SpmdApp};
-use xtrace_tracer::TaskTrace;
+use xtrace_apps::{SpecfemProxy, Uh3dProxy};
+use xtrace_machine::{presets, MachineProfile};
+use xtrace_obs::{ObsContext, Recorder};
+use xtrace_psins::{try_predict_runtime, try_replay_groups, GroupComputeModel};
+use xtrace_spmd::{
+    simulate, simulate_naive, ComputeModel, RankClasses, RankEvent, RankProgram, RankTimes,
+    SimReport, SpmdApp,
+};
+use xtrace_tracer::{collect_task_trace, TaskTrace, TracerConfig};
 
 /// The seed's [`ComputeModel`]: per group, a block-name → seconds map,
 /// probed by `String` key on every charge.
-pub struct SeedGroupComputeModel {
+struct SeedGroupComputeModel {
     /// Per group: block name → convolved seconds per loop iteration.
     per_iteration: Vec<HashMap<String, f64>>,
     /// Rank → group index.
@@ -28,7 +33,7 @@ pub struct SeedGroupComputeModel {
 impl SeedGroupComputeModel {
     /// Builds the model exactly as the seed did: one serial
     /// [`predict_runtime`] convolution per group, no memoization.
-    pub fn new(groups: &[(TaskTrace, u64)], nranks: u32, machine: &MachineProfile) -> Self {
+    fn new(groups: &[(TaskTrace, u64)], nranks: u32, machine: &MachineProfile) -> Self {
         let covered: u64 = groups.iter().map(|(_, n)| n).sum();
         assert!(
             covered >= u64::from(nranks),
@@ -90,7 +95,7 @@ impl ComputeModel for SeedGroupComputeModel {
 
 /// The seed's whole-application replay: materialize every rank's program,
 /// then walk ranks one at a time.
-pub fn seed_replay_groups(
+fn seed_replay_groups(
     app: &dyn SpmdApp,
     nranks: u32,
     groups: &[(TaskTrace, u64)],
@@ -104,7 +109,7 @@ pub fn seed_replay_groups(
 /// The seed's bulk-synchronous engine, verbatim: per-rank shape
 /// re-validation up front, an `arrivals` clone per event, and one
 /// `compute.seconds` call per rank per compute event.
-pub fn seed_simulate_programs(
+fn seed_simulate_programs(
     programs: &[RankProgram],
     net: &xtrace_spmd::NetworkModel,
     compute: &mut dyn ComputeModel,
@@ -209,4 +214,76 @@ pub fn seed_simulate_programs(
         total_seconds: clocks.iter().cloned().fold(0.0, f64::max),
         ranks: times,
     }
+}
+
+/// Two-group signature layout: the master rank's trace for rank 0, a
+/// worker's trace for everyone else.
+fn groups_for(app: &dyn SpmdApp, nranks: u32, machine: &MachineProfile) -> Vec<(TaskTrace, u64)> {
+    let (cfg, obs) = (TracerConfig::fast(), ObsContext::disabled());
+    let t0 = collect_task_trace(app, 0, nranks, machine, &cfg, None, &obs);
+    let t1 = collect_task_trace(app, 1, nranks, machine, &cfg, None, &obs);
+    vec![(t0, 1), (t1, u64::from(nranks) - 1)]
+}
+
+/// Seed oracle, naive walk over today's interned model, and the
+/// class-deduplicated replay on 1 and 4 threads: four equal reports. The
+/// 4-thread leg is recorded, so the test also pins which stepping path it
+/// took: chunked parallel stepping iff `parallel` (the engine steps
+/// serially below 256 ranks).
+fn assert_replay_legs_match_the_seed(app: &dyn SpmdApp, nranks: u32, parallel: bool) {
+    let machine = presets::bluewaters_phase1();
+    let groups = groups_for(app, nranks, &machine);
+    let pool = |n: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .expect("pool")
+    };
+
+    let seed = seed_replay_groups(app, nranks, &groups, &machine);
+    let naive = pool(1).install(|| {
+        let programs: Vec<RankProgram> = (0..nranks).map(|r| app.rank_program(r, nranks)).collect();
+        let (mut model, _) =
+            GroupComputeModel::try_new(&groups, nranks, &machine, None).expect("model builds");
+        simulate_naive(&programs, &machine.net, &mut model).expect("naive replay runs")
+    });
+    let dedup_serial = pool(1)
+        .install(|| try_replay_groups(app, nranks, &groups, &machine).expect("dedup replay runs"));
+    let (dedup_parallel, counters) = pool(4).install(|| {
+        let obs = ObsContext::with_recorder(Recorder::new());
+        let (mut model, _) =
+            GroupComputeModel::try_new(&groups, nranks, &machine, None).expect("model builds");
+        let classes = RankClasses::try_from_app(app, nranks).expect("classes build");
+        let report = simulate(&classes, &machine.net, &mut model, &obs).expect("replay runs");
+        (report, obs.snapshot().expect("recording context").counters)
+    });
+
+    let name = app.name();
+    assert!(seed.total_seconds > 0.0, "{name}: empty replay");
+    assert_eq!(naive, seed, "{name}: naive walk drifted from the seed");
+    assert_eq!(
+        dedup_serial, seed,
+        "{name}: dedup replay drifted from the seed"
+    );
+    assert_eq!(
+        dedup_parallel, seed,
+        "{name}: parallel dedup replay drifted from the seed"
+    );
+    let path = if parallel {
+        "sched.spmd.parallel_sims"
+    } else {
+        "sched.spmd.serial_sims"
+    };
+    assert_eq!(
+        counters.get(path),
+        Some(&1),
+        "{name} at {nranks} ranks: the 4-thread replay did not take the expected stepping path"
+    );
+}
+
+#[test]
+fn replay_legs_are_bit_identical_to_the_seed_oracle() {
+    assert_replay_legs_match_the_seed(&SpecfemProxy::small(), 32, false);
+    assert_replay_legs_match_the_seed(&Uh3dProxy::small(), 16, false);
+    assert_replay_legs_match_the_seed(&SpecfemProxy::small(), 256, true);
 }

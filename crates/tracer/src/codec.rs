@@ -111,7 +111,10 @@ pub fn decode_u64_column(buf: &mut &[u8], expected: Option<usize>) -> Result<Vec
             return Err(CodecError::Corrupt("column length mismatch"));
         }
     }
-    let mut vals = Vec::with_capacity(n);
+    // Reserve no more than the remaining input could justify: a lying
+    // header must not buy a large allocation before a byte is read. The
+    // vector grows as runs actually decode.
+    let mut vals = Vec::with_capacity(n.min(buf.len()));
     let mut prev: u64 = 0;
     while vals.len() < n {
         let run = get_varint(buf)? as usize;

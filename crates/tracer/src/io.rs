@@ -288,7 +288,7 @@ pub fn to_bytes_obs(trace: &TaskTrace, obs: &xtrace_obs::ObsContext) -> Bytes {
 
 /// Size in bytes of the v1 (uncompressed) encoding of `trace`, computed
 /// without building the buffer — the "raw" side of the compression
-/// metrics and of `bench_collect`'s bytes-stored comparison.
+/// metrics (`tracer.codec.raw_bytes`).
 pub fn v1_encoded_len(trace: &TaskTrace) -> u64 {
     let str_len = |s: &str| 4 + s.len() as u64;
     let mut n = 4 + 2 + str_len(&trace.app) + 4 + 4 + str_len(&trace.machine) + 1 + 4;

@@ -223,6 +223,13 @@ fn eight_identical_inflight_runs_coalesce_onto_one_cold_pipeline() {
     assert!(!warm.coalesced);
     assert_eq!(warm.report.cache_hits, 6, "warm run reuses every artifact");
     assert_eq!(warm.report.cache_misses, 0);
+    // Resuming skips the work itself, not just the writes: no block is
+    // simulated and no element is fitted again.
+    let work = |o: &xtrace::core::EngineOutcome, key: &str| o.metrics.counters[key];
+    assert!(work(&outcomes[0], "tracer.blocks_simulated") > 0);
+    assert!(work(&outcomes[0], "extrap.elements_fit") > 0);
+    assert_eq!(work(&warm, "tracer.blocks_simulated"), 0);
+    assert_eq!(work(&warm, "extrap.elements_fit"), 0);
     assert_eq!(
         serde_json::to_string(&warm.report.prediction).unwrap(),
         first

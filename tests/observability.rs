@@ -213,6 +213,7 @@ fn journaling_does_not_perturb_the_prediction() {
     // stream: timestamps zeroed, scheduling events stripped, sequence
     // numbers renumbered from zero with no gaps.
     assert!(!journal.events.is_empty());
+    assert_eq!(journal.dropped, 0, "the journal must hold the whole run");
     let masked = journal.masked();
     assert!(!masked.events.is_empty());
     for (i, ev) in masked.events.iter().enumerate() {

@@ -9,7 +9,8 @@
 //! * With validation on, every lane's validation record equals its
 //!   standalone run's.
 //! * A cold engine sweep writes exactly one prefix artifact set plus one
-//!   tail set per target (15 writes for 3 targets); a warm re-sweep and a
+//!   tail set per target (15 writes for 3 targets) and simulates exactly
+//!   the blocks of one cold single-target run; a warm re-sweep and a
 //!   later standalone run at a swept target both resume fully from the
 //!   prefix-keyed store with zero new writes.
 
@@ -143,6 +144,19 @@ fn cold_sweep_writes_one_prefix_then_everything_resumes_warm() {
         stats.writes,
         3 + 4 * SWEEP_TARGETS.len() as u64,
         "a 3-target cold sweep must write the shared prefix exactly once"
+    );
+    // Extra targets add no collection: the sweep simulates exactly the
+    // blocks one cold single-target run does.
+    let single_cold = XtraceEngine::new()
+        .run(&standalone_config(SWEEP_TARGETS[0]))
+        .unwrap();
+    let blocks =
+        |counters: &std::collections::BTreeMap<String, u64>| counters["tracer.blocks_simulated"];
+    assert!(blocks(&single_cold.metrics.counters) > 0);
+    assert_eq!(
+        blocks(&cold.metrics.counters),
+        blocks(&single_cold.metrics.counters),
+        "a sweep must collect its training prefix once"
     );
 
     // Warm re-sweep: every lane resumes fully, no new writes.
