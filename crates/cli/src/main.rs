@@ -665,9 +665,9 @@ fn sweep_table(sweep: &xtrace_core::SweepReport) -> String {
 }
 
 /// Prints the in-memory cache counters of an engine's shared store, when
-/// one is attached (the `--store` path opens the sharded-cache stack).
+/// one is attached (`--store`).
 fn print_cache_stats(engine: &XtraceEngine) {
-    if let Some(stats) = engine.store().and_then(|s| s.cache_stats()) {
+    if let Some(stats) = engine.store().map(|s| s.cache_stats()) {
         eprintln!(
             "store cache: {} hit(s), {} miss(es), {} write(s)",
             stats.hits, stats.misses, stats.writes

@@ -2,10 +2,10 @@
 //!
 //! [`Pipeline`](crate::Pipeline) executes one run for one caller;
 //! [`XtraceEngine`] serves *many* callers from one process. It owns the
-//! shared resources — a [sharded, cached artifact
-//! store](crate::store::ShardedCache) and a fresh [`ObsContext`] per cold
-//! run — and adds **request coalescing**: concurrent [`XtraceEngine::run`]
-//! calls with the same [config hash](PipelineConfig::config_hash) await a
+//! shared resources — one [artifact store](crate::ArtifactStore) with its
+//! in-memory map, and a fresh [`ObsContext`] per cold run — and adds
+//! **request coalescing**: concurrent [`XtraceEngine::run`] calls with the
+//! same [config hash](PipelineConfig::config_hash) await a
 //! single pipeline execution and share its [`EngineOutcome`], instead of
 //! racing N identical collections. The config hash already fingerprints
 //! every output-relevant field, so it is exactly the right coalescing key:
@@ -180,9 +180,8 @@ impl XtraceEngine {
         }
     }
 
-    /// Attaches a shared artifact store rooted at `root`, opened with the
-    /// in-memory [sharded cache](crate::store::ShardedCache) so concurrent
-    /// sessions serve repeated artifacts from memory.
+    /// Attaches a shared artifact store rooted at `root`; its in-memory
+    /// map lets concurrent sessions serve repeated artifacts from memory.
     pub fn with_store(mut self, root: impl Into<PathBuf>) -> Result<Self> {
         self.store = Some(ArtifactStore::open_shared(root)?);
         Ok(self)
@@ -399,7 +398,7 @@ impl XtraceEngine {
         let obs = ObsContext::with_recorder(Arc::clone(&recorder));
         let mut pipeline = Pipeline::new(config.clone())?.with_obs(obs);
         if let Some(store) = &self.store {
-            pipeline = pipeline.with_store_handle(store.clone());
+            pipeline = pipeline.with_store(store.clone());
         }
         if let Some(observer) = observer {
             pipeline = pipeline.with_observer(observer);

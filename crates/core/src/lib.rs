@@ -20,9 +20,8 @@
 //! * [`stage`] — the [`StageKind`] vocabulary, the Collect and Validate
 //!   kernels, and the [`StageObserver`] progress hook.
 //! * [`store`] — the versioned [`ArtifactStore`], keyed by config hash,
-//!   reusing `xtrace-tracer`'s trace codecs; pluggable [`ArtifactBackend`]s
-//!   with a [sharded in-memory cache](store::ShardedCache) for concurrent
-//!   sessions.
+//!   reusing `xtrace-tracer`'s trace codecs: one file layer under one
+//!   in-memory map shared by concurrent sessions.
 //! * [`pipeline`] — the [`Pipeline`] engine, one stage-major path for
 //!   one target or many, and its [`PipelineReport`] / [`SweepReport`].
 //! * [`engine`] — the multi-client [`XtraceEngine`]: one shared store,
@@ -67,7 +66,4 @@ pub use stage::{
     StageKind,
     StageObserver,
 };
-pub use store::{
-    ArtifactBackend, ArtifactStore, FileBackend, ShardStats, ShardedCache, STORE_FORMAT,
-    STORE_SHARDS, STORE_VERSION,
-};
+pub use store::{ArtifactStore, CacheStats, STORE_FORMAT, STORE_VERSION};

@@ -541,16 +541,10 @@ impl Pipeline {
         })
     }
 
-    /// Attaches an artifact store rooted at `root`; identical re-runs
-    /// resume from it.
-    pub fn with_store(mut self, root: impl Into<std::path::PathBuf>) -> Result<Self> {
-        self.ctx.store = Some(ArtifactStore::open(root)?);
-        Ok(self)
-    }
-
-    /// Attaches an already-open artifact store handle — the way
-    /// [`crate::XtraceEngine`] shares one cached store across sessions.
-    pub fn with_store_handle(mut self, store: ArtifactStore) -> Self {
+    /// Attaches an artifact store; identical re-runs resume from it. A
+    /// clone of a store handle shares its in-memory map, which is how
+    /// [`crate::XtraceEngine`] shares one store across sessions.
+    pub fn with_store(mut self, store: ArtifactStore) -> Self {
         self.ctx.store = Some(store);
         self
     }
@@ -564,7 +558,7 @@ impl Pipeline {
     /// Attaches an observability recorder: shorthand for
     /// [`Pipeline::with_obs`] with a context built around `recorder`.
     /// The hot kernels' counters — sig-memo hits, fit wins per canonical
-    /// form, rank classes, convolve-cache hits, artifact-store traffic —
+    /// form, rank classes, artifact-store traffic —
     /// land in the same snapshot as the engine's per-stage spans. The
     /// recorder is scoped to this run; nothing is installed
     /// process-globally, so concurrent pipelines never share counters.
@@ -818,8 +812,7 @@ mod tests {
         let run = || {
             Pipeline::new(quick_config())
                 .unwrap()
-                .with_store(&root)
-                .unwrap()
+                .with_store(ArtifactStore::open_shared(&root).unwrap())
                 .run()
                 .unwrap()
         };
@@ -849,8 +842,7 @@ mod tests {
         let run = || {
             Pipeline::new(wide_cfg.clone())
                 .unwrap()
-                .with_store(&root)
-                .unwrap()
+                .with_store(ArtifactStore::open_shared(&root).unwrap())
                 .run()
                 .unwrap()
         };
@@ -875,15 +867,13 @@ mod tests {
         let root = tmp("keyed");
         let mut p = Pipeline::new(quick_config())
             .unwrap()
-            .with_store(&root)
-            .unwrap();
+            .with_store(ArtifactStore::open_shared(&root).unwrap());
         p.run().unwrap();
         let mut changed = quick_config();
         changed.forms = FormSet::Extended;
         let report = Pipeline::new(changed)
             .unwrap()
-            .with_store(&root)
-            .unwrap()
+            .with_store(ArtifactStore::open_shared(&root).unwrap())
             .run()
             .unwrap();
         assert_eq!(report.cache_hits, 0, "different config hash, fresh entry");
@@ -980,11 +970,7 @@ mod tests {
 
     #[test]
     fn invalid_store_root_is_a_store_error() {
-        let err = Pipeline::new(quick_config())
-            .unwrap()
-            .with_store("/proc/definitely-not-writable/store")
-            .map(|_| ())
-            .unwrap_err();
+        let err = ArtifactStore::open_shared("/proc/definitely-not-writable/store").unwrap_err();
         assert!(matches!(err, XtraceError::Store(_)));
     }
 

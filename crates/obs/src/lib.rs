@@ -65,7 +65,7 @@
 //!
 //! Dotted lowercase names, `<subsystem>.<what>`: `tracer.sig_memo.hits`,
 //! `store.misses`, `extrap.fit_wins.logarithmic`, `spmd.rank_classes`,
-//! `psins.convolve_cache.hits`. Metrics whose values legitimately depend
+//! `spmd.events_stepped`. Metrics whose values legitimately depend
 //! on scheduling (parallel vs serial path, chunk counts) carry the
 //! reserved [`SCHED_PREFIX`] (`sched.`) and are stripped by
 //! [`Snapshot::masked`], so everything else must be bit-stable across

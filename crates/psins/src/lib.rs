@@ -33,8 +33,7 @@ pub use energy::{try_predict_energy, EnergyPrediction};
 pub use ground_truth::{ground_truth, ground_truth_for_rank, GroundTruth};
 pub use predict::{try_predict_runtime, BlockTime, Prediction};
 pub use replay::{
-    ground_truth_application, try_replay_groups, try_replay_groups_traced, ConvolveCache,
-    GroupBlockTimes, GroupComputeModel,
+    ground_truth_application, try_replay_groups, try_replay_groups_traced, GroupComputeModel,
 };
 
 use xtrace_tracer::TaskTrace;

@@ -12,23 +12,20 @@
 //!
 //! The replay path is built to scale to the paper's target core counts
 //! (6144/8192 ranks): convolution runs once per signature group (in
-//! parallel across groups when a thread pool is available), the engine
+//! parallel across groups when a thread pool is available), and the engine
 //! deduplicates rank classes via [`xtrace_spmd::RankClasses`] so per-rank
-//! program materialization never happens, and convolved group tables can
-//! be memoized across pipeline runs by handing
-//! [`GroupComputeModel::try_new`] a [`ConvolveCache`].
+//! program materialization never happens.
 //!
 //! [`try_replay_groups`] and [`try_replay_groups_traced`] run that model
 //! through [`xtrace_spmd::simulate`] and [`xtrace_spmd::simulate_timeline`].
-//! An exact counterpart, [`ground_truth_application`], runs every rank's
-//! address streams with exact per-access costs through the same engine, so
-//! replay predictions can be validated end to end. All three fail with a
-//! typed [`PredictError`] instead of panicking.
+//! An exact counterpart, [`ground_truth_application`], charges the same
+//! table model from every rank's address streams run with exact per-access
+//! costs, so replay predictions can be validated end to end. All three
+//! fail with a typed [`PredictError`] instead of panicking.
 
 use std::collections::HashMap;
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use xtrace_machine::MachineProfile;
 use xtrace_obs::ObsContext;
 use xtrace_spmd::{
@@ -38,102 +35,57 @@ use xtrace_spmd::{
 use xtrace_tracer::{TaskTrace, TracerConfig};
 
 use crate::ground_truth::ground_truth_for_rank;
-use crate::predict::try_predict_runtime;
+use crate::predict::{try_predict_runtime, Prediction};
 use crate::PredictError;
 
-/// Convolved per-iteration block times of one signature group — the unit
-/// of work a [`ConvolveCache`] memoizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GroupBlockTimes {
-    /// Block names, in the group trace's block order.
-    pub columns: Vec<String>,
-    /// Convolved seconds per loop iteration, parallel to `columns`.
-    pub per_iteration: Vec<f64>,
+/// One model row before interning: `(block name, seconds per loop
+/// iteration)` in the trace's block order.
+type Row = Vec<(String, f64)>;
+
+/// The per-iteration row of `trace` under its prediction `pred`, every
+/// block's convolved time multiplied by `scale`.
+fn per_iteration_row(pred: &Prediction, trace: &TaskTrace, scale: f64) -> Row {
+    pred.per_block
+        .iter()
+        .zip(&trace.blocks)
+        .map(|(bt, block)| {
+            let units = (block.invocations.max(1) * block.iterations.max(1)) as f64;
+            (bt.name.clone(), bt.combined_s * scale / units)
+        })
+        .collect()
 }
 
-/// Memoization store for per-group convolution results.
-///
-/// The convolution of a group trace against a machine profile is pure, so
-/// pipeline runs that share traces (e.g. resumed experiments, benches
-/// sweeping core counts) can reuse it. `xtrace-core`'s `ArtifactStore`
-/// implements this over its content-addressed JSON store.
-///
-/// Implementations are best-effort: a `get_group` miss (or a dropped
-/// `put_group`) only costs recomputation, never correctness — serde JSON
-/// round-trips `f64`s exactly, so cached and recomputed tables are
-/// bit-identical.
-pub trait ConvolveCache {
-    /// Looks up a previously stored group table.
-    fn get_group(&self, key: &str) -> Option<GroupBlockTimes>;
-    /// Stores a group table under `key`.
-    fn put_group(&self, key: &str, value: &GroupBlockTimes);
-}
-
-/// FNV-1a over the concatenation of `parts`, as a fixed-width hex string.
-fn fnv1a_hex(parts: &[&[u8]]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &byte in *part {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
-}
-
-/// Cache key of one group's convolution: machine identity plus the full
-/// serialized trace (hit rates, block structure, counts).
-fn convolve_key(trace: &TaskTrace, machine: &MachineProfile) -> String {
-    let trace_bytes = xtrace_tracer::to_bytes(trace);
-    fnv1a_hex(&[machine.name.as_bytes(), b"\0", &trace_bytes])
-}
-
-/// Convolves one group trace into per-iteration block times.
-fn convolve_group(
-    trace: &TaskTrace,
-    nranks: u32,
-    machine: &MachineProfile,
-) -> Result<GroupBlockTimes, PredictError> {
-    // Convolve once per group; communication is replayed by the engine, so
-    // only block times are used here.
-    let comm = xtrace_spmd::CommProfile {
+/// No-communication profile for convolving one rank's compute blocks;
+/// communication is replayed by the engine, so only block times are used.
+fn compute_only(nranks: u32, rank: u32) -> xtrace_spmd::CommProfile {
+    xtrace_spmd::CommProfile {
         nranks,
-        longest_rank: trace.rank,
+        longest_rank: rank,
         events: vec![],
         compute_imbalance: 1.0,
-    };
-    let pred = try_predict_runtime(trace, &comm, machine)?;
-    let mut columns = Vec::with_capacity(pred.per_block.len());
-    let mut per_iteration = Vec::with_capacity(pred.per_block.len());
-    for (bt, block) in pred.per_block.iter().zip(&trace.blocks) {
-        let units = (block.invocations.max(1) * block.iterations.max(1)) as f64;
-        columns.push(bt.name.clone());
-        per_iteration.push(bt.combined_s / units);
     }
-    Ok(GroupBlockTimes {
-        columns,
-        per_iteration,
-    })
 }
 
 /// A [`ComputeModel`] that charges each rank's compute segments from its
-/// signature group's convolved per-block times.
+/// row of convolved per-block times.
 ///
-/// Groups are `(trace, ranks)` pairs ordered heaviest-first (the layout
+/// Built by [`GroupComputeModel::try_new`] from signature groups:
+/// `(trace, ranks)` pairs ordered heaviest-first (the layout
 /// [`xtrace_extrap::synthesize_full_signature`] produces); ranks are
 /// assigned to groups in order, so the heaviest group covers the lowest
 /// ranks — matching the master-rank structure of the proxies, where rank 0
-/// is the most computationally demanding task.
+/// is the most computationally demanding task. [`ground_truth_application`]
+/// builds one with a measured row per rank.
 ///
 /// Block times are interned: the hot [`ComputeModel::seconds`] path is a
 /// borrowed-str map lookup plus an indexed row read — no per-call `String`
-/// allocation. The model also exposes its group assignment as
+/// allocation. The model also exposes its row assignment as
 /// [`ComputeModel::class_key`], so the engine charges it once per (rank
-/// class, group) pair instead of once per rank.
+/// class, row) pair instead of once per rank.
 pub struct GroupComputeModel {
-    /// Block name → column index (union over groups, first-seen order).
+    /// Block name → column index (union over rows, first-seen order).
     name_ix: HashMap<String, usize>,
-    /// Per group: column index → convolved seconds per loop iteration.
+    /// Per row: column index → convolved seconds per loop iteration.
     ///
     /// Charging per *iteration* (not per invocation) makes the model
     /// transferable across ranks whose programs share block shapes but
@@ -141,14 +93,14 @@ pub struct GroupComputeModel {
     /// costs next to nothing even though the group trace came from the
     /// master.
     per_iteration: Vec<Vec<f64>>,
-    /// Rank → group index.
+    /// Rank → row index.
     assignment: Vec<usize>,
 }
 
 impl GroupComputeModel {
-    /// Builds the model for `nranks` ranks from signature groups. With a
-    /// `cache`, per-group convolution results are memoized there; the
-    /// second return value counts the cache hits (always 0 without one).
+    /// Builds the model for `nranks` ranks from signature groups,
+    /// convolving each group's trace once (in parallel across groups when
+    /// a pool is available).
     ///
     /// Fails with [`PredictError::GroupCoverage`] if the groups cover fewer
     /// ranks than `nranks`, and with [`PredictError::MachineMismatch`] if a
@@ -157,20 +109,7 @@ impl GroupComputeModel {
         groups: &[(TaskTrace, u64)],
         nranks: u32,
         machine: &MachineProfile,
-        cache: Option<&dyn ConvolveCache>,
-    ) -> Result<(Self, usize), PredictError> {
-        let (tables, hits) = Self::convolve_all(groups, nranks, machine, cache)?;
-        Ok((Self::from_tables(groups, nranks, tables), hits))
-    }
-
-    /// Checks coverage and convolves every group (parallel across groups
-    /// when a pool is available and there is more than one group to do).
-    fn convolve_all(
-        groups: &[(TaskTrace, u64)],
-        nranks: u32,
-        machine: &MachineProfile,
-        cache: Option<&dyn ConvolveCache>,
-    ) -> Result<(Vec<GroupBlockTimes>, usize), PredictError> {
+    ) -> Result<Self, PredictError> {
         let covered: u64 = groups.iter().map(|(_, n)| n).sum();
         if covered < u64::from(nranks) {
             return Err(PredictError::GroupCoverage {
@@ -178,78 +117,41 @@ impl GroupComputeModel {
                 needed: u64::from(nranks),
             });
         }
-
-        let mut hits = 0usize;
-        let mut slots: Vec<Option<GroupBlockTimes>> = vec![None; groups.len()];
-        let mut keys: Vec<Option<String>> = vec![None; groups.len()];
-        if let Some(cache) = cache {
-            for (gi, (trace, _)) in groups.iter().enumerate() {
-                let key = convolve_key(trace, machine);
-                if let Some(table) = cache.get_group(&key) {
-                    slots[gi] = Some(table);
-                    hits += 1;
-                }
-                keys[gi] = Some(key);
-            }
-        }
-
-        let pending: Vec<usize> = (0..groups.len())
-            .filter(|&gi| slots[gi].is_none())
+        let rows = groups
+            .par_iter()
+            .map(|(trace, _)| {
+                let pred = try_predict_runtime(trace, &compute_only(nranks, trace.rank), machine)?;
+                Ok(per_iteration_row(&pred, trace, 1.0))
+            })
+            .collect::<Result<Vec<Row>, PredictError>>()?;
+        let assignment = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(gi, (_, n))| std::iter::repeat_n(gi, *n as usize))
+            .take(nranks as usize)
             .collect();
-        let computed: Vec<Result<GroupBlockTimes, PredictError>> =
-            if pending.len() >= 2 && rayon::current_num_threads() > 1 {
-                pending
-                    .par_iter()
-                    .map(|&gi| convolve_group(&groups[gi].0, nranks, machine))
-                    .collect()
-            } else {
-                pending
-                    .iter()
-                    .map(|&gi| convolve_group(&groups[gi].0, nranks, machine))
-                    .collect()
-            };
-        for (&gi, result) in pending.iter().zip(computed) {
-            let table = result?;
-            if let (Some(cache), Some(key)) = (cache, keys[gi].as_deref()) {
-                cache.put_group(key, &table);
-            }
-            slots[gi] = Some(table);
-        }
-        let tables = slots
-            .into_iter()
-            .map(|t| t.expect("every group slot was filled"))
-            .collect();
-        Ok((tables, hits))
+        Ok(Self::from_rows(rows, assignment))
     }
 
-    /// Interns the per-group tables into the shared column layout and lays
-    /// out the rank → group assignment.
-    fn from_tables(groups: &[(TaskTrace, u64)], nranks: u32, tables: Vec<GroupBlockTimes>) -> Self {
+    /// Interns the rows into one shared column layout.
+    fn from_rows(rows: Vec<Row>, assignment: Vec<usize>) -> Self {
         let mut name_ix: HashMap<String, usize> = HashMap::new();
-        for table in &tables {
-            for name in &table.columns {
+        for row in &rows {
+            for (name, _) in row {
                 let next = name_ix.len();
                 name_ix.entry(name.clone()).or_insert(next);
             }
         }
-        let per_iteration = tables
-            .iter()
-            .map(|table| {
-                let mut row = vec![0.0f64; name_ix.len()];
-                for (name, &secs) in table.columns.iter().zip(&table.per_iteration) {
-                    row[name_ix[name]] = secs;
+        let per_iteration = rows
+            .into_iter()
+            .map(|row| {
+                let mut dense = vec![0.0f64; name_ix.len()];
+                for (name, secs) in row {
+                    dense[name_ix[&name]] = secs;
                 }
-                row
+                dense
             })
             .collect();
-        let mut assignment = Vec::with_capacity(nranks as usize);
-        for (gi, (_, n)) in groups.iter().enumerate() {
-            for _ in 0..*n {
-                if assignment.len() < nranks as usize {
-                    assignment.push(gi);
-                }
-            }
-        }
         Self {
             name_ix,
             per_iteration,
@@ -266,17 +168,17 @@ impl ComputeModel for GroupComputeModel {
         block: xtrace_ir::BlockId,
         invocations: u64,
     ) -> f64 {
-        let group = self.assignment[rank as usize];
+        let row = self.assignment[rank as usize];
         let b = program.block(block);
         let per_iter = self
             .name_ix
             .get(b.name.as_str())
-            .map_or(0.0, |&ix| self.per_iteration[group][ix]);
+            .map_or(0.0, |&ix| self.per_iteration[row][ix]);
         per_iter * b.iterations as f64 * invocations as f64
     }
 
-    /// Charges depend only on the rank's group, so ranks sharing a group
-    /// are one dedup class.
+    /// Charges depend only on the rank's row, so ranks sharing a row are
+    /// one dedup class.
     fn class_key(&self, rank: u32) -> Option<u64> {
         Some(self.assignment[rank as usize] as u64)
     }
@@ -297,7 +199,7 @@ pub fn try_replay_groups(
     groups: &[(TaskTrace, u64)],
     machine: &MachineProfile,
 ) -> Result<SimReport, PredictError> {
-    let (mut model, _) = GroupComputeModel::try_new(groups, nranks, machine, None)?;
+    let mut model = GroupComputeModel::try_new(groups, nranks, machine)?;
     let classes = RankClasses::try_from_app(app, nranks).map_err(sim_err)?;
     simulate(&classes, &machine.net, &mut model, &ObsContext::disabled()).map_err(sim_err)
 }
@@ -311,49 +213,35 @@ pub fn try_replay_groups_traced(
     groups: &[(TaskTrace, u64)],
     machine: &MachineProfile,
 ) -> Result<(SimReport, Vec<TimelineEntry>), PredictError> {
-    let (mut model, _) = GroupComputeModel::try_new(groups, nranks, machine, None)?;
+    let mut model = GroupComputeModel::try_new(groups, nranks, machine)?;
     let classes = RankClasses::try_from_app(app, nranks).map_err(sim_err)?;
     simulate_timeline(&classes, &machine.net, &mut model).map_err(sim_err)
 }
 
-/// A per-iteration block-time table for one rank, in the shared column
-/// layout of the exact model.
+/// One rank's exact per-iteration row.
 fn exact_rank_table(
     app: &dyn SpmdApp,
     rank: u32,
     nranks: u32,
     machine: &MachineProfile,
     cfg: &TracerConfig,
-) -> Vec<(String, f64)> {
+) -> Row {
     let obs = ObsContext::disabled();
     // One exact execution per rank; apportion its total compute over
     // blocks proportionally to the convolution-free split, then scale so
     // the sum equals the exact total.
     let trace = xtrace_tracer::collect_task_trace(app, rank, nranks, machine, cfg, None, &obs);
     let exact_total = ground_truth_for_rank(app, rank, nranks, machine, cfg, &obs);
-    let comm = xtrace_spmd::CommProfile {
-        nranks,
-        longest_rank: rank,
-        events: vec![],
-        compute_imbalance: 1.0,
-    };
     // The trace was just collected against `machine`, so the checked
     // entry point's precondition holds by construction.
-    let pred = crate::predict::predict_checked(&trace, &comm, machine);
+    let pred = crate::predict::predict_checked(&trace, &compute_only(nranks, rank), machine);
     let pred_total: f64 = pred.per_block.iter().map(|b| b.combined_s).sum();
     let scale = if pred_total > 0.0 {
         exact_total / pred_total
     } else {
         0.0
     };
-    pred.per_block
-        .iter()
-        .zip(&trace.blocks)
-        .map(|(bt, block)| {
-            let units = (block.invocations.max(1) * block.iterations.max(1)) as f64;
-            (bt.name.clone(), bt.combined_s * scale / units)
-        })
-        .collect()
+    per_iteration_row(&pred, &trace, scale)
 }
 
 /// Exact whole-application measurement: every rank's compute time comes
@@ -369,76 +257,21 @@ pub fn ground_truth_application(
     cfg: &TracerConfig,
 ) -> Result<SimReport, PredictError> {
     let classes = RankClasses::try_from_app(app, nranks).map_err(sim_err)?;
-    // Build every rank's exact table up front: the builds are independent
-    // and pure, so they parallelize; ordered reassembly keeps the model
-    // (and therefore the report) identical to a serial build.
+    // Every rank gets its own measured row (the identity assignment), so
+    // no two ranks dedup. The builds are independent and pure, and
+    // ordered collection keeps the model identical to a serial build.
     let ranks: Vec<u32> = (0..nranks).collect();
-    let raw_tables: Vec<Vec<(String, f64)>> = if nranks >= 2 && rayon::current_num_threads() > 1 {
-        ranks
-            .par_iter()
-            .map(|&r| exact_rank_table(app, r, nranks, machine, cfg))
-            .collect()
-    } else {
-        ranks
-            .iter()
-            .map(|&r| exact_rank_table(app, r, nranks, machine, cfg))
-            .collect()
-    };
-
-    // Intern block names so the hot charging path is allocation-free.
-    let mut name_ix: HashMap<String, usize> = HashMap::new();
-    for table in &raw_tables {
-        for (name, _) in table {
-            let next = name_ix.len();
-            name_ix.entry(name.clone()).or_insert(next);
-        }
-    }
-    let tables: Vec<Vec<f64>> = raw_tables
-        .into_iter()
-        .map(|table| {
-            let mut row = vec![0.0f64; name_ix.len()];
-            for (name, secs) in table {
-                row[name_ix[&name]] = secs;
-            }
-            row
-        })
+    let rows = ranks
+        .par_iter()
+        .map(|&r| exact_rank_table(app, r, nranks, machine, cfg))
         .collect();
-
-    struct ExactModel {
-        name_ix: HashMap<String, usize>,
-        /// rank → column index → seconds per iteration.
-        tables: Vec<Vec<f64>>,
-    }
-    impl ComputeModel for ExactModel {
-        fn seconds(
-            &mut self,
-            rank: u32,
-            program: &xtrace_ir::Program,
-            block: xtrace_ir::BlockId,
-            invocations: u64,
-        ) -> f64 {
-            let b = program.block(block);
-            let per_iter = self
-                .name_ix
-                .get(b.name.as_str())
-                .map_or(0.0, |&ix| self.tables[rank as usize][ix]);
-            per_iter * b.iterations as f64 * invocations as f64
-        }
-
-        /// Every rank has its own measured table, so no two ranks dedup.
-        fn class_key(&self, rank: u32) -> Option<u64> {
-            Some(u64::from(rank))
-        }
-    }
-
-    let mut model = ExactModel { name_ix, tables };
+    let mut model = GroupComputeModel::from_rows(rows, (0..nranks as usize).collect());
     simulate(&classes, &machine.net, &mut model, &ObsContext::disabled()).map_err(sim_err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
     use xtrace_apps::StencilProxy;
     use xtrace_machine::presets;
     use xtrace_tracer::{collect_task_trace, SigMemo};
@@ -536,7 +369,7 @@ mod tests {
         let machine = presets::cray_xt5();
         let cfg = TracerConfig::fast();
         let t0 = collect_task_trace(&app, 0, 8, &machine, &cfg, None, &ObsContext::disabled());
-        let err = GroupComputeModel::try_new(&[(t0, 2)], 8, &machine, None)
+        let err = GroupComputeModel::try_new(&[(t0, 2)], 8, &machine)
             .err()
             .expect("undersized groups must fail");
         assert_eq!(
@@ -556,67 +389,9 @@ mod tests {
         let cfg = TracerConfig::fast();
         let t0 = collect_task_trace(&app, 0, 4, &machine, &cfg, None, &ObsContext::disabled());
         let other = presets::bluewaters_phase1();
-        let err = GroupComputeModel::try_new(&[(t0, 4)], 4, &other, None)
+        let err = GroupComputeModel::try_new(&[(t0, 4)], 4, &other)
             .err()
             .expect("machine mismatch must fail");
         assert!(matches!(err, PredictError::MachineMismatch { .. }));
-    }
-
-    /// In-memory ConvolveCache for tests.
-    #[derive(Default)]
-    struct MemCache {
-        map: Mutex<HashMap<String, GroupBlockTimes>>,
-    }
-    impl ConvolveCache for MemCache {
-        fn get_group(&self, key: &str) -> Option<GroupBlockTimes> {
-            self.map.lock().expect("cache lock").get(key).cloned()
-        }
-        fn put_group(&self, key: &str, value: &GroupBlockTimes) {
-            self.map
-                .lock()
-                .expect("cache lock")
-                .insert(key.to_string(), value.clone());
-        }
-    }
-
-    #[test]
-    fn cached_construction_is_bit_identical_and_hits_on_reuse() {
-        let app = StencilProxy::medium();
-        let machine = presets::cray_xt5();
-        let groups = groups_for(&app, 8, &machine);
-        let cache = MemCache::default();
-
-        let (_, cold_hits) =
-            GroupComputeModel::try_new(&groups, 8, &machine, Some(&cache)).expect("cold build");
-        assert_eq!(cold_hits, 0);
-        let (_, warm_hits) =
-            GroupComputeModel::try_new(&groups, 8, &machine, Some(&cache)).expect("warm build");
-        assert_eq!(warm_hits, 2, "both group tables should come from cache");
-
-        // The replay through the cache matches the uncached replay exactly.
-        let (mut cached_model, _) =
-            GroupComputeModel::try_new(&groups, 8, &machine, Some(&cache)).expect("warm build");
-        let (mut plain_model, plain_hits) =
-            GroupComputeModel::try_new(&groups, 8, &machine, None).expect("build");
-        assert_eq!(plain_hits, 0);
-        let classes = RankClasses::try_from_app(&app, 8).expect("classes build");
-        let obs = ObsContext::disabled();
-        let a = simulate(&classes, &machine.net, &mut cached_model, &obs).expect("cached replay");
-        let b = simulate(&classes, &machine.net, &mut plain_model, &obs).expect("plain replay");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn group_tables_key_on_machine_and_trace() {
-        let obs = ObsContext::disabled();
-        let app = StencilProxy::small();
-        let machine = presets::cray_xt5();
-        let cfg = TracerConfig::fast();
-        let t0 = collect_task_trace(&app, 0, 4, &machine, &cfg, None, &obs);
-        let t1 = collect_task_trace(&app, 1, 4, &machine, &cfg, None, &obs);
-        let k00 = convolve_key(&t0, &machine);
-        let k10 = convolve_key(&t1, &machine);
-        assert_ne!(k00, k10, "different traces must not collide");
-        assert_eq!(k00, convolve_key(&t0, &machine), "keys are deterministic");
     }
 }

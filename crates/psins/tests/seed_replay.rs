@@ -243,16 +243,16 @@ fn assert_replay_legs_match_the_seed(app: &dyn SpmdApp, nranks: u32, parallel: b
     let seed = seed_replay_groups(app, nranks, &groups, &machine);
     let naive = pool(1).install(|| {
         let programs: Vec<RankProgram> = (0..nranks).map(|r| app.rank_program(r, nranks)).collect();
-        let (mut model, _) =
-            GroupComputeModel::try_new(&groups, nranks, &machine, None).expect("model builds");
+        let mut model =
+            GroupComputeModel::try_new(&groups, nranks, &machine).expect("model builds");
         simulate_naive(&programs, &machine.net, &mut model).expect("naive replay runs")
     });
     let dedup_serial = pool(1)
         .install(|| try_replay_groups(app, nranks, &groups, &machine).expect("dedup replay runs"));
     let (dedup_parallel, counters) = pool(4).install(|| {
         let obs = ObsContext::with_recorder(Recorder::new());
-        let (mut model, _) =
-            GroupComputeModel::try_new(&groups, nranks, &machine, None).expect("model builds");
+        let mut model =
+            GroupComputeModel::try_new(&groups, nranks, &machine).expect("model builds");
         let classes = RankClasses::try_from_app(app, nranks).expect("classes build");
         let report = simulate(&classes, &machine.net, &mut model, &obs).expect("replay runs");
         (report, obs.snapshot().expect("recording context").counters)

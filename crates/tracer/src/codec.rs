@@ -33,6 +33,13 @@ pub const MAX_BYTES_PER_VALUE: usize = 11;
 /// are rejected as corrupt before any allocation happens.
 pub const MAX_COLUMN_LEN: usize = 1 << 28;
 
+/// Upper bound on the instructions of one decoded v2 trace. Every
+/// per-instruction column has this many entries, so the cap bounds what a
+/// hostile envelope can make the decoder allocate (about 10 MiB of
+/// decoded columns) whatever its runs claim. Real signatures sit far
+/// below it: the SPECFEM3D proxy's trace has 28 instructions.
+pub const MAX_TRACE_INSTRUCTIONS: usize = 1 << 16;
+
 /// Appends `v` as an LEB128 varint.
 #[inline]
 pub fn put_varint(b: &mut BytesMut, mut v: u64) {
@@ -99,17 +106,15 @@ pub fn encode_u64_column(vals: &[u64], out: &mut BytesMut) {
     }
 }
 
-/// Decodes a column written by [`encode_u64_column`]. When `expected` is
-/// `Some(n)`, a column of any other length is rejected as corrupt.
-pub fn decode_u64_column(buf: &mut &[u8], expected: Option<usize>) -> Result<Vec<u64>, CodecError> {
+/// Decodes a column written by [`encode_u64_column`]. A column whose
+/// length is not `expected` is rejected as corrupt.
+pub fn decode_u64_column(buf: &mut &[u8], expected: usize) -> Result<Vec<u64>, CodecError> {
     let n = get_varint(buf)? as usize;
     if n > MAX_COLUMN_LEN {
         return Err(CodecError::Corrupt("column length exceeds cap"));
     }
-    if let Some(want) = expected {
-        if n != want {
-            return Err(CodecError::Corrupt("column length mismatch"));
-        }
+    if n != expected {
+        return Err(CodecError::Corrupt("column length mismatch"));
     }
     // Reserve no more than the remaining input could justify: a lying
     // header must not buy a large allocation before a byte is read. The
@@ -138,7 +143,7 @@ pub fn encode_f64_column(vals: &[f64], out: &mut BytesMut) {
 }
 
 /// Decodes a column written by [`encode_f64_column`].
-pub fn decode_f64_column(buf: &mut &[u8], expected: Option<usize>) -> Result<Vec<f64>, CodecError> {
+pub fn decode_f64_column(buf: &mut &[u8], expected: usize) -> Result<Vec<f64>, CodecError> {
     let bits = decode_u64_column(buf, expected)?;
     Ok(bits.into_iter().map(f64::from_bits).collect())
 }
@@ -151,7 +156,7 @@ mod tests {
         let mut b = BytesMut::new();
         encode_u64_column(vals, &mut b);
         let mut buf = &b[..];
-        let back = decode_u64_column(&mut buf, Some(vals.len())).unwrap();
+        let back = decode_u64_column(&mut buf, vals.len()).unwrap();
         assert_eq!(back, vals);
         assert!(buf.is_empty(), "decoder must consume the whole column");
         b.len()
@@ -220,7 +225,7 @@ mod tests {
         let vals = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, -1e300, 3.7e-12];
         let mut b = BytesMut::new();
         encode_f64_column(&vals, &mut b);
-        let back = decode_f64_column(&mut &b[..], Some(vals.len())).unwrap();
+        let back = decode_f64_column(&mut &b[..], vals.len()).unwrap();
         for (a, x) in back.iter().zip(&vals) {
             assert_eq!(a.to_bits(), x.to_bits());
         }
@@ -230,21 +235,21 @@ mod tests {
     fn decode_rejects_length_mismatch_and_overrun() {
         let mut b = BytesMut::new();
         encode_u64_column(&[1, 2, 3], &mut b);
-        assert!(decode_u64_column(&mut &b[..], Some(4)).is_err());
+        assert!(decode_u64_column(&mut &b[..], 4).is_err());
 
         // A run that claims more elements than the declared count.
         let mut bad = BytesMut::new();
         put_varint(&mut bad, 2); // count
         put_varint(&mut bad, 3); // run of 3 > 2
         put_varint(&mut bad, 0);
-        assert!(decode_u64_column(&mut &bad[..], None).is_err());
+        assert!(decode_u64_column(&mut &bad[..], 2).is_err());
 
         // A zero-length run can never make progress.
         let mut zero = BytesMut::new();
         put_varint(&mut zero, 2);
         put_varint(&mut zero, 0);
         put_varint(&mut zero, 0);
-        assert!(decode_u64_column(&mut &zero[..], None).is_err());
+        assert!(decode_u64_column(&mut &zero[..], 2).is_err());
     }
 
     #[test]
@@ -254,7 +259,7 @@ mod tests {
         encode_u64_column(&vals, &mut b);
         for cut in 0..b.len() {
             assert!(
-                decode_u64_column(&mut &b[..cut], Some(vals.len())).is_err(),
+                decode_u64_column(&mut &b[..cut], vals.len()).is_err(),
                 "prefix of {cut} bytes unexpectedly decoded"
             );
         }

@@ -395,20 +395,20 @@ fn decode_v2(mut buf: &[u8]) -> Result<TaskTrace, CodecError> {
         block_lines.push(buf.get_u32());
         block_functions.push(get_str(&mut buf)?);
     }
-    let invocations = codec::decode_u64_column(&mut buf, Some(nblocks))?;
-    let iterations = codec::decode_u64_column(&mut buf, Some(nblocks))?;
-    let ninstrs = codec::decode_u64_column(&mut buf, Some(nblocks))?;
+    let invocations = codec::decode_u64_column(&mut buf, nblocks)?;
+    let iterations = codec::decode_u64_column(&mut buf, nblocks)?;
+    let ninstrs = codec::decode_u64_column(&mut buf, nblocks)?;
     let mut instr_start = Vec::with_capacity(nblocks + 1);
     instr_start.push(0u32);
     let mut total: usize = 0;
     for &n in &ninstrs {
         total = total
             .checked_add(n as usize)
-            .filter(|&t| t <= codec::MAX_COLUMN_LEN)
+            .filter(|&t| t <= codec::MAX_TRACE_INSTRUCTIONS)
             .ok_or(CodecError::Corrupt("instruction count exceeds cap"))?;
         instr_start.push(total as u32);
     }
-    let instr_index: Vec<u32> = codec::decode_u64_column(&mut buf, Some(total))?
+    let instr_index: Vec<u32> = codec::decode_u64_column(&mut buf, total)?
         .into_iter()
         .map(|v| u32::try_from(v).map_err(|_| CodecError::Corrupt("instruction index exceeds u32")))
         .collect::<Result<_, _>>()?;
@@ -421,7 +421,7 @@ fn decode_v2(mut buf: &[u8]) -> Result<TaskTrace, CodecError> {
     for _ in 0..npatterns {
         dict.push(get_str(&mut buf)?);
     }
-    let patterns: Vec<String> = codec::decode_u64_column(&mut buf, Some(total))?
+    let patterns: Vec<String> = codec::decode_u64_column(&mut buf, total)?
         .into_iter()
         .map(|k| {
             dict.get(k as usize)
@@ -431,10 +431,10 @@ fn decode_v2(mut buf: &[u8]) -> Result<TaskTrace, CodecError> {
         .collect::<Result<_, _>>()?;
     let mut features = FeatureMatrix::with_capacity(total);
     for col in features.scalars.iter_mut() {
-        *col = codec::decode_f64_column(&mut buf, Some(total))?;
+        *col = codec::decode_f64_column(&mut buf, total)?;
     }
     for col in features.hit_rates.iter_mut() {
-        *col = codec::decode_f64_column(&mut buf, Some(total))?;
+        *col = codec::decode_f64_column(&mut buf, total)?;
     }
     let cols = TraceColumns {
         app,

@@ -1,10 +1,16 @@
-//! A column header is untrusted input: the declared length must not buy
-//! an allocation before the column's bytes are there to back it.
+//! Envelope headers are untrusted input: a declared length must not buy
+//! an allocation before the bytes are there to back it, and a trace's
+//! instruction total must stay under the trace-level cap before any
+//! per-instruction column decodes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use xtrace_tracer::{codec, CodecError};
+use xtrace_ir::SourceLoc;
+use xtrace_tracer::{
+    codec, from_bytes, to_bytes, BlockRecord, CodecError, FeatureVector, InstrRecord, TaskTrace,
+};
 
 /// Forwards to the system allocator and remembers the largest single
 /// request since the last reset.
@@ -37,19 +43,79 @@ unsafe impl GlobalAlloc for LargestRequest {
 #[global_allocator]
 static ALLOC: LargestRequest = LargestRequest;
 
+/// The statistic is process-wide, so the tests measure one at a time.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// A one-block trace of `n` identical instructions: run-length encoding
+/// keeps its envelope small however large `n` is.
+fn uniform_trace(n: usize) -> TaskTrace {
+    let instr = |i: usize| InstrRecord {
+        instr: i as u32,
+        pattern: "strided".into(),
+        features: FeatureVector {
+            exec_count: 64.0,
+            mem_ops: 64.0,
+            loads: 64.0,
+            bytes_per_ref: 8.0,
+            ..Default::default()
+        },
+    };
+    TaskTrace {
+        app: "uniform".into(),
+        rank: 0,
+        nranks: 1,
+        machine: "cray-xt5".into(),
+        depth: 3,
+        blocks: vec![BlockRecord {
+            name: "loop".into(),
+            source: SourceLoc::new("uniform.f90", 1, "main"),
+            invocations: 1,
+            iterations: 1,
+            instrs: (0..n).map(instr).collect(),
+        }],
+    }
+}
+
 #[test]
 fn a_max_length_header_without_data_allocates_nothing_large() {
+    let _serial = MEASURING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut header = bytes::BytesMut::new();
     codec::put_varint(&mut header, codec::MAX_COLUMN_LEN as u64);
     assert_eq!(header.len(), 5);
 
     LARGEST.store(0, Ordering::Relaxed);
-    let result = codec::decode_u64_column(&mut &header[..], None);
+    let result = codec::decode_u64_column(&mut &header[..], codec::MAX_COLUMN_LEN);
     let largest = LARGEST.load(Ordering::Relaxed);
 
     assert!(matches!(result, Err(CodecError::Truncated)), "{result:?}");
     assert!(
         largest <= 1 << 20,
         "decoding a bare header requested {largest} bytes at once"
+    );
+}
+
+#[test]
+fn an_instruction_total_over_the_cap_is_corrupt_before_any_column_decodes() {
+    let _serial = MEASURING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let at_cap = uniform_trace(codec::MAX_TRACE_INSTRUCTIONS);
+    assert_eq!(
+        from_bytes(&to_bytes(&at_cap)).expect("the cap itself decodes"),
+        at_cap
+    );
+    let envelope = to_bytes(&uniform_trace(codec::MAX_TRACE_INSTRUCTIONS + 1));
+    assert!(envelope.len() < 1024, "{} envelope bytes", envelope.len());
+
+    LARGEST.store(0, Ordering::Relaxed);
+    let result = from_bytes(&envelope);
+    let largest = LARGEST.load(Ordering::Relaxed);
+
+    assert!(matches!(result, Err(CodecError::Corrupt(_))), "{result:?}");
+    assert!(
+        largest <= 1 << 20,
+        "decoding an over-cap envelope requested {largest} bytes at once"
     );
 }

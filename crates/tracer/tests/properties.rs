@@ -213,7 +213,7 @@ proptest! {
         let mut b = bytes::BytesMut::new();
         codec::encode_u64_column(&vals, &mut b);
         let mut buf = &b[..];
-        let back = codec::decode_u64_column(&mut buf, Some(vals.len())).unwrap();
+        let back = codec::decode_u64_column(&mut buf, vals.len()).unwrap();
         prop_assert_eq!(back, vals);
         prop_assert!(buf.is_empty(), "decoder must consume the column exactly");
     }
@@ -223,7 +223,7 @@ proptest! {
     fn rle_delta_codec_roundtrips_f64_columns(vals in proptest::collection::vec(any::<f64>(), 0..1024)) {
         let mut b = bytes::BytesMut::new();
         codec::encode_f64_column(&vals, &mut b);
-        let back = codec::decode_f64_column(&mut &b[..], Some(vals.len())).unwrap();
+        let back = codec::decode_f64_column(&mut &b[..], vals.len()).unwrap();
         prop_assert_eq!(back.len(), vals.len());
         for (a, v) in back.iter().zip(&vals) {
             prop_assert_eq!(a.to_bits(), v.to_bits());
@@ -238,7 +238,7 @@ proptest! {
         codec::encode_u64_column(&vals, &mut b);
         let cut = ((b.len() as f64) * frac) as usize;
         if cut < b.len() {
-            prop_assert!(codec::decode_u64_column(&mut &b[..cut], Some(vals.len())).is_err());
+            prop_assert!(codec::decode_u64_column(&mut &b[..cut], vals.len()).is_err());
         }
     }
 
@@ -250,7 +250,7 @@ proptest! {
         let mut b = bytes::BytesMut::new();
         codec::encode_u64_column(&vals, &mut b);
         prop_assert!(b.len() <= 26, "constant column of {n} took {} bytes", b.len());
-        let back = codec::decode_u64_column(&mut &b[..], Some(n)).unwrap();
+        let back = codec::decode_u64_column(&mut &b[..], n).unwrap();
         prop_assert_eq!(back, vals);
     }
 
@@ -267,7 +267,7 @@ proptest! {
             b.len() <= codec::MAX_BYTES_PER_VALUE * vals.len() + 10,
             "distinct column took {} bytes", b.len()
         );
-        let back = codec::decode_u64_column(&mut &b[..], Some(vals.len())).unwrap();
+        let back = codec::decode_u64_column(&mut &b[..], vals.len()).unwrap();
         prop_assert_eq!(back, vals);
     }
 

@@ -8,7 +8,8 @@
 //! * Two different configs running concurrently in one process each keep
 //!   their own metrics: the golden session's masked snapshot is identical
 //!   to what it produces alone, with no counters bled in from its
-//!   neighbor.
+//!   neighbor, and a golden session on a second engine running at the
+//!   same time still matches the committed metrics golden.
 //! * Eight identical in-flight `run` calls coalesce onto one cold
 //!   pipeline execution: the shared store sees exactly one cold set of
 //!   artifact writes, and seven callers return flagged `coalesced`.
@@ -89,16 +90,19 @@ fn concurrent_sessions_keep_their_metrics_isolated() {
         "the two sessions must not coalesce"
     );
 
-    // Now both at once on a shared engine.
+    // Now both at once on a shared engine, alongside a second golden
+    // session on an engine of its own (so it cannot coalesce).
     let engine = Arc::new(XtraceEngine::new());
-    let (golden_out, other_out) = std::thread::scope(|scope| {
+    let (golden_out, other_out, separate_out) = std::thread::scope(|scope| {
         let e1 = Arc::clone(&engine);
         let e2 = Arc::clone(&engine);
         let t1 = scope.spawn(move || e1.run(&golden_config()).unwrap());
         let t2 = scope.spawn(move || e2.run(&other_config()).unwrap());
+        let t3 = scope.spawn(|| XtraceEngine::new().run(&golden_config()).unwrap());
         (
             t1.join().expect("golden session"),
             t2.join().expect("other session"),
+            t3.join().expect("separate golden session"),
         )
     });
 
@@ -116,10 +120,20 @@ fn concurrent_sessions_keep_their_metrics_isolated() {
         other_alone.metrics.masked().to_json(),
         "golden session bled into its neighbor's metrics"
     );
-    // And the golden session still matches the committed golden.
+    // And both golden sessions still match the committed goldens.
     assert_eq!(
         serde_json::to_string_pretty(&golden_out.report.prediction).unwrap(),
         golden("specfem_tiny_prediction.json")
+    );
+    assert!(!separate_out.coalesced, "separate engines never coalesce");
+    assert_eq!(
+        serde_json::to_string_pretty(&separate_out.report.prediction).unwrap(),
+        golden("specfem_tiny_prediction.json")
+    );
+    assert_eq!(
+        separate_out.metrics.masked().to_json(),
+        golden("specfem_tiny_metrics.json").trim_end_matches('\n'),
+        "concurrent sessions bled into the separate golden session's metrics"
     );
 }
 
@@ -207,11 +221,7 @@ fn eight_identical_inflight_runs_coalesce_onto_one_cold_pipeline() {
     // Exactly one cold set of artifacts hit the shared store: 3 training
     // traces + fit diagnostics + extrapolated trace + prediction +
     // critical-path attribution.
-    let stats = engine
-        .store()
-        .expect("engine has a store")
-        .cache_stats()
-        .expect("shared store is cached");
+    let stats = engine.store().expect("engine has a store").cache_stats();
     assert_eq!(
         stats.writes, 7,
         "eight in-flight runs must produce exactly one cold write set"
@@ -234,7 +244,7 @@ fn eight_identical_inflight_runs_coalesce_onto_one_cold_pipeline() {
         serde_json::to_string(&warm.report.prediction).unwrap(),
         first
     );
-    let stats = engine.store().unwrap().cache_stats().unwrap();
+    let stats = engine.store().unwrap().cache_stats();
     assert_eq!(stats.writes, 7, "warm resume added artifact writes");
 
     outcomes.clear();

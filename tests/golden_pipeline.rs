@@ -11,7 +11,7 @@
 //! then commit the refreshed `tests/golden/specfem_tiny_prediction.json`
 //! and explain the delta in the PR.
 
-use xtrace::core::{Pipeline, PipelineConfig};
+use xtrace::core::{ArtifactStore, Pipeline, PipelineConfig};
 
 fn golden_config() -> PipelineConfig {
     let mut cfg = PipelineConfig::new("specfem3d", "cray-xt5", vec![6, 24, 96], 384);
@@ -74,20 +74,41 @@ fn golden_run_is_invariant_under_thread_count() {
 fn golden_run_resumes_from_the_store() {
     let dir = std::env::temp_dir().join(format!("xtrace-golden-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open_shared(&dir).unwrap();
 
     let cold = Pipeline::new(golden_config())
         .unwrap()
-        .with_store(&dir)
-        .unwrap()
+        .with_store(store.clone())
         .run()
         .unwrap();
     assert_eq!(cold.cache_hits, 0);
     assert!(cold.cache_misses > 0);
 
+    // Warm through the cold run's own handle: every artifact comes from
+    // the in-memory map, and the prediction is still the golden.
+    let misses_before = store.cache_stats().misses;
+    let warm_cached = Pipeline::new(golden_config())
+        .unwrap()
+        .with_store(store.clone())
+        .run()
+        .unwrap();
+    assert_eq!(warm_cached.cache_misses, 0, "warm run recomputed artifacts");
+    assert!(warm_cached.cache_hits > 0);
+    assert_eq!(
+        store.cache_stats().misses,
+        misses_before,
+        "a warm run on the same handle went to disk"
+    );
+    assert_eq!(
+        serde_json::to_string_pretty(&warm_cached.prediction).unwrap(),
+        std::fs::read_to_string(golden_path()).unwrap(),
+        "cached warm prediction drifted from the golden"
+    );
+
+    // Warm from disk: a freshly opened store starts with an empty map.
     let warm = Pipeline::new(golden_config())
         .unwrap()
-        .with_store(&dir)
-        .unwrap()
+        .with_store(ArtifactStore::open_shared(&dir).unwrap())
         .run()
         .unwrap();
     assert_eq!(warm.cache_misses, 0, "warm run recomputed artifacts");

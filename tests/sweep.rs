@@ -139,7 +139,7 @@ fn cold_sweep_writes_one_prefix_then_everything_resumes_warm() {
         assert_eq!(report.cache_hits, 0);
         assert!(report.cache_misses > 0);
     }
-    let stats = engine.store().unwrap().cache_stats().unwrap();
+    let stats = engine.store().unwrap().cache_stats();
     assert_eq!(
         stats.writes,
         3 + 4 * SWEEP_TARGETS.len() as u64,
@@ -168,7 +168,7 @@ fn cold_sweep_writes_one_prefix_then_everything_resumes_warm() {
         );
         assert_eq!(report.cache_misses, 0);
     }
-    assert_eq!(engine.store().unwrap().cache_stats().unwrap().writes, 15);
+    assert_eq!(engine.store().unwrap().cache_stats().writes, 15);
 
     // A later *standalone* run at a swept target finds the prefix-keyed
     // artifacts the sweep left behind — the whole point of the re-keying.
@@ -183,7 +183,7 @@ fn cold_sweep_writes_one_prefix_then_everything_resumes_warm() {
         serde_json::to_string(&single.report.prediction).unwrap(),
         serde_json::to_string(&cold.sweep.reports[1].prediction).unwrap()
     );
-    assert_eq!(engine.store().unwrap().cache_stats().unwrap().writes, 15);
+    assert_eq!(engine.store().unwrap().cache_stats().writes, 15);
 
     let _ = std::fs::remove_dir_all(&root);
 }
