@@ -346,6 +346,9 @@ struct Lane {
     cache_hits: usize,
     cache_misses: usize,
     events: Replay,
+    /// Seconds of the current stage spent on this lane before its
+    /// fan-out, folded into the stage's timing by [`Lane::advance`].
+    carried: f64,
 }
 
 impl Lane {
@@ -368,8 +371,35 @@ impl Lane {
         Ok(())
     }
 
+    /// Probes the store for the target's critical-path attribution (when
+    /// enabled), then its prediction, in the order Convolve reports them.
+    fn probe_convolve(&mut self, ctx: &PipelineCtx) -> Result<()> {
+        let Some(store) = &ctx.store else {
+            return Ok(());
+        };
+        let prefix = &ctx.prefix_hash;
+        let names = &self.names;
+        if ctx.config.critical_path {
+            self.critical_path = store.get_json(prefix, &names.critical_path)?;
+            self.events.cache_event(
+                StageKind::Convolve,
+                &names.critical_path,
+                self.critical_path.is_some(),
+            );
+        }
+        self.prediction = store.get_json(prefix, &names.prediction)?;
+        self.events.cache_event(
+            StageKind::Convolve,
+            &names.prediction,
+            self.prediction.is_some(),
+        );
+        Ok(())
+    }
+
     /// This target's share of a fanned-out stage, with every store probe
-    /// and put the stage owns. `xs` are the sorted training counts.
+    /// and put the stage owns, except Convolve's probes, which ran before
+    /// the fan-out ([`prepare_convolve`]). `xs` are the sorted training
+    /// counts.
     fn advance(&mut self, stage: StageKind, ctx: &PipelineCtx, xs: &[f64]) -> Result<()> {
         let start = Instant::now();
         let t = self.target;
@@ -404,61 +434,31 @@ impl Lane {
                 // yields both the comm profile and the artifact, and the
                 // prediction stays bit-identical because attribution only
                 // observes.
-                let want_critical = ctx.config.critical_path;
-                if want_critical {
+                let attribute = ctx.config.critical_path && self.critical_path.is_none();
+                if self.prediction.is_none() {
+                    let comm = if attribute {
+                        let (comm, fresh) = ctx.app.comm_attr_obs(t, &ctx.obs);
+                        self.critical_path = fresh;
+                        comm
+                    } else {
+                        ctx.app.comm_obs(t, &ctx.obs)
+                    };
+                    let p = try_predict_runtime(extrapolated, &comm, &ctx.machine)?;
                     if let Some(store) = store {
-                        self.critical_path = store.get_json(prefix, &names.critical_path)?;
-                        self.events.cache_event(
-                            StageKind::Convolve,
-                            &names.critical_path,
-                            self.critical_path.is_some(),
-                        );
+                        store.put_json(prefix, &names.prediction, &p)?;
                     }
+                    self.prediction = Some(p);
+                } else if attribute {
+                    // Prediction reused but attribution absent (the store
+                    // predates the artifact): attribute now, without
+                    // re-predicting.
+                    self.critical_path = ctx.app.comm_attr_obs(t, &ctx.obs).1;
                 }
-                let attribute = want_critical && self.critical_path.is_none();
-                let cached = match store {
-                    Some(store) => {
-                        let hit = store.get_json::<Prediction>(prefix, &names.prediction)?;
-                        self.events.cache_event(
-                            StageKind::Convolve,
-                            &names.prediction,
-                            hit.is_some(),
-                        );
-                        hit
-                    }
-                    None => None,
-                };
-                let prediction = match cached {
-                    Some(p) => {
-                        // Prediction reused but attribution absent (the
-                        // store predates the artifact): attribute now,
-                        // without re-predicting.
-                        if attribute {
-                            self.critical_path = ctx.app.comm_attr_obs(t, &ctx.obs).1;
-                        }
-                        p
-                    }
-                    None => {
-                        let comm = if attribute {
-                            let (comm, fresh) = ctx.app.comm_attr_obs(t, &ctx.obs);
-                            self.critical_path = fresh;
-                            comm
-                        } else {
-                            ctx.app.comm_obs(t, &ctx.obs)
-                        };
-                        let p = try_predict_runtime(extrapolated, &comm, &ctx.machine)?;
-                        if let Some(store) = store {
-                            store.put_json(prefix, &names.prediction, &p)?;
-                        }
-                        p
-                    }
-                };
                 if attribute {
                     if let (Some(store), Some(c)) = (store, &self.critical_path) {
                         store.put_json(prefix, &names.critical_path, c)?;
                     }
                 }
-                self.prediction = Some(prediction);
             }
             StageKind::Validate if ctx.config.validate => {
                 if let Some(store) = store {
@@ -485,7 +485,7 @@ impl Lane {
         }
         self.timings.push(StageTiming {
             stage,
-            seconds: start.elapsed().as_secs_f64(),
+            seconds: std::mem::take(&mut self.carried) + start.elapsed().as_secs_f64(),
         });
         Ok(())
     }
@@ -507,11 +507,39 @@ impl Lane {
     }
 }
 
+/// The serial half of Convolve, on the caller's thread before the
+/// fan-out: each lane's store probes in lane order, then the machine's
+/// MultiMAPS surface, measured once on the caller's pool when any lane
+/// will predict afresh. A fully resumed run never measures it. Every
+/// lane that predicts carries the surface's wall time into its own
+/// Convolve timing, as every lane carries the shared Collect and Fit.
+fn prepare_convolve(lanes: &mut [Lane], ctx: &PipelineCtx) -> Result<()> {
+    for lane in lanes.iter_mut() {
+        let start = Instant::now();
+        lane.probe_convolve(ctx)?;
+        lane.carried = start.elapsed().as_secs_f64();
+    }
+    if lanes.iter().any(|lane| lane.prediction.is_none()) {
+        let start = Instant::now();
+        ctx.machine.surface();
+        let seconds = start.elapsed().as_secs_f64();
+        for lane in lanes.iter_mut().filter(|lane| lane.prediction.is_none()) {
+            lane.carried += seconds;
+        }
+    }
+    Ok(())
+}
+
 /// Runs `stage` for every lane on the rayon pool, results in lane order.
 /// The pool lends only shared references, so each lane travels in its
 /// own `Mutex`, which only the one worker that runs the lane locks; a
 /// panic in a lane unwinds through the pool's join, so no poisoned lock
 /// is ever read.
+///
+/// A lazily shared value whose computation is itself parallel (the
+/// MultiMAPS surface) must be resolved before the fan-out: a nested
+/// parallel call on a worker runs on that one thread, while every other
+/// lane that needs the value blocks on it.
 fn fan_out(lanes: Vec<Lane>, stage: StageKind, ctx: &PipelineCtx, xs: &[f64]) -> Result<Vec<Lane>> {
     const UNPOISONED: &str = "a lane's panic unwinds through the join";
     let cells: Vec<Mutex<Lane>> = lanes.into_iter().map(Mutex::new).collect();
@@ -598,7 +626,10 @@ impl Pipeline {
     /// Collect executes once and the canonical-form candidates are fitted
     /// once (only when some target missed the store), then selected per
     /// missing target in target order. Synthesize, Convolve and Validate
-    /// each fan out over the targets across the rayon pool. Each
+    /// each fan out over the targets across the rayon pool. Before the
+    /// Convolve fan-out, the lanes' store probes run in lane order and,
+    /// when any lane will predict afresh, the machine's MultiMAPS
+    /// surface is measured once on the caller's pool. Each
     /// per-target prediction is bit-identical to a standalone run at that
     /// target (selection is a pure function of the shared candidates),
     /// and each per-target artifact lands under the shared prefix
@@ -683,6 +714,7 @@ impl Pipeline {
                 cache_hits: hits,
                 cache_misses: misses,
                 events: Replay::default(),
+                carried: 0.0,
             };
             lane.probe(ctx)?;
             brackets.replay(&mut lane);
@@ -724,6 +756,9 @@ impl Pipeline {
             StageKind::Validate,
         ] {
             let start = brackets.open(stage);
+            if stage == StageKind::Convolve {
+                prepare_convolve(&mut lanes, ctx)?;
+            }
             lanes = fan_out(lanes, stage, ctx, &xs)?;
             for lane in &mut lanes {
                 brackets.replay(lane);

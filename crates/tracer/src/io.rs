@@ -371,6 +371,13 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<TaskTrace, CodecError> {
     }
 }
 
+/// Upper bound on the bytes of one v2 pattern-dictionary label. Every
+/// instruction gets its own copy of its label, so without the bound a
+/// small envelope whose instructions share one long label decodes to
+/// instruction-cap times that label. Labels are access-pattern classes
+/// (`strided`, `random`, `stencil`, `fp`), at most 7 bytes.
+const MAX_PATTERN_LEN: usize = 32;
+
 /// Decodes the v2 body (everything after magic + version).
 fn decode_v2(mut buf: &[u8]) -> Result<TaskTrace, CodecError> {
     let app = get_str(&mut buf)?;
@@ -419,7 +426,11 @@ fn decode_v2(mut buf: &[u8]) -> Result<TaskTrace, CodecError> {
     }
     let mut dict = Vec::with_capacity(npatterns);
     for _ in 0..npatterns {
-        dict.push(get_str(&mut buf)?);
+        let label = get_str(&mut buf)?;
+        if label.len() > MAX_PATTERN_LEN {
+            return Err(CodecError::Corrupt("pattern label exceeds cap"));
+        }
+        dict.push(label);
     }
     let patterns: Vec<String> = codec::decode_u64_column(&mut buf, total)?
         .into_iter()

@@ -1,7 +1,8 @@
 //! Envelope headers are untrusted input: a declared length must not buy
-//! an allocation before the bytes are there to back it, and a trace's
+//! an allocation before the bytes are there to back it, a trace's
 //! instruction total must stay under the trace-level cap before any
-//! per-instruction column decodes.
+//! per-instruction column decodes, and a pattern label copied into every
+//! instruction must be short.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,17 +14,19 @@ use xtrace_tracer::{
 };
 
 /// Forwards to the system allocator and remembers the largest single
-/// request since the last reset.
-struct LargestRequest;
+/// request and the bytes requested in total since the last reset.
+struct CountingAlloc;
 
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static TOTAL: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method hands its arguments unchanged to `System`, so the
 // caller's `GlobalAlloc` guarantees are exactly the ones `System` needs.
-// The only extra work is a relaxed statistic that publishes no data.
-unsafe impl GlobalAlloc for LargestRequest {
+// The only extra work is relaxed statistics that publish no data.
+unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        TOTAL.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: forwarded unchanged; see the impl.
         unsafe { System.alloc(layout) }
     }
@@ -35,15 +38,16 @@ unsafe impl GlobalAlloc for LargestRequest {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        TOTAL.fetch_add(new_size, Ordering::Relaxed);
         // SAFETY: forwarded unchanged; `ptr` came from `System` via `alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
-static ALLOC: LargestRequest = LargestRequest;
+static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The statistic is process-wide, so the tests measure one at a time.
+/// The statistics are process-wide, so the tests measure one at a time.
 static MEASURING: Mutex<()> = Mutex::new(());
 
 /// A one-block trace of `n` identical instructions: run-length encoding
@@ -117,5 +121,33 @@ fn an_instruction_total_over_the_cap_is_corrupt_before_any_column_decodes() {
     assert!(
         largest <= 1 << 20,
         "decoding an over-cap envelope requested {largest} bytes at once"
+    );
+}
+
+#[test]
+fn a_long_shared_pattern_label_is_corrupt_before_it_is_copied_per_instruction() {
+    let _serial = MEASURING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // Every instruction at the cap shares one 1 KiB label: the dictionary
+    // holds it once, so the envelope stays small, but decoding it would
+    // copy the label into each of the 65,536 instructions (about 185 MB).
+    let mut trace = uniform_trace(codec::MAX_TRACE_INSTRUCTIONS);
+    let label = "x".repeat(1024);
+    for instr in &mut trace.blocks[0].instrs {
+        instr.pattern = label.clone();
+    }
+    let envelope = to_bytes(&trace);
+    assert!(envelope.len() < 2048, "{} envelope bytes", envelope.len());
+
+    TOTAL.store(0, Ordering::Relaxed);
+    let result = from_bytes(&envelope);
+    let total = TOTAL.load(Ordering::Relaxed);
+
+    assert!(matches!(result, Err(CodecError::Corrupt(_))), "{result:?}");
+    assert!(
+        total <= 4 << 20,
+        "decoding a {}-byte envelope allocated {total} bytes in total",
+        envelope.len()
     );
 }

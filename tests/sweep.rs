@@ -6,6 +6,9 @@
 //!   committed golden file itself.
 //! * The sweep is thread-invariant: rayon fan-out over 1 or 4 workers
 //!   produces identical per-target predictions.
+//! * A sweep measures the machine's MultiMAPS surface only when some
+//!   lane predicts afresh: a cold or partly warm sweep measures it, a
+//!   fully warm one never does.
 //! * With validation on, every lane's validation record equals its
 //!   standalone run's.
 //! * A cold engine sweep writes exactly one prefix artifact set plus one
@@ -14,7 +17,7 @@
 //!   later standalone run at a swept target both resume fully from the
 //!   prefix-keyed store with zero new writes.
 
-use xtrace::core::{Pipeline, PipelineConfig, XtraceEngine};
+use xtrace::core::{ArtifactStore, Pipeline, PipelineConfig, SweepReport, XtraceEngine};
 
 /// The tiny SPECFEM3D config every golden file pins, swept over three
 /// target core counts (the first is the committed golden target).
@@ -47,7 +50,12 @@ fn golden(name: &str) -> String {
 
 #[test]
 fn sweep_targets_match_standalone_runs_and_the_committed_golden() {
-    let sweep = Pipeline::new(sweep_config()).unwrap().run_sweep().unwrap();
+    let mut pipeline = Pipeline::new(sweep_config()).unwrap();
+    let sweep = pipeline.run_sweep().unwrap();
+    assert!(
+        pipeline.ctx().machine.measured_surface().is_some(),
+        "a cold sweep measures the MultiMAPS surface"
+    );
     assert_eq!(sweep.targets, SWEEP_TARGETS);
     assert_eq!(sweep.reports.len(), SWEEP_TARGETS.len());
 
@@ -78,6 +86,46 @@ fn sweep_targets_match_standalone_runs_and_the_committed_golden() {
             "sweep lane for target {target} differs from the standalone report"
         );
     }
+}
+
+#[test]
+fn only_a_sweep_that_predicts_measures_the_surface() {
+    let root = std::env::temp_dir().join(format!("xtrace-sweep-surface-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let run = |cfg: PipelineConfig| {
+        let mut pipeline = Pipeline::new(cfg)
+            .unwrap()
+            .with_store(ArtifactStore::open_shared(&root).unwrap());
+        let sweep = pipeline.run_sweep().unwrap();
+        let measured = pipeline.ctx().machine.measured_surface().is_some();
+        (sweep, measured)
+    };
+    let predictions = |sweep: &SweepReport| {
+        sweep
+            .reports
+            .iter()
+            .map(|r| serde_json::to_string_pretty(&r.prediction).unwrap())
+            .collect::<Vec<_>>()
+    };
+
+    let (cold, measured) = run(sweep_config());
+    assert!(measured, "a cold sweep measures the surface");
+
+    // Fully warm: every lane resumes its prediction, so the surface, which
+    // costs far more than a warm run, is never measured.
+    let (warm, measured) = run(sweep_config());
+    assert!(!measured, "a fully warm sweep measured the surface");
+    assert!(warm.reports.iter().all(|r| r.cache_misses == 0));
+    assert_eq!(predictions(&warm), predictions(&cold));
+
+    // Partly warm: one new target on the stored prefix predicts afresh.
+    let mut partly = sweep_config();
+    partly.targets = vec![SWEEP_TARGETS[0], 192];
+    let (partly, measured) = run(partly);
+    assert!(measured, "a sweep with a fresh target measures the surface");
+    assert_eq!(predictions(&partly)[0], predictions(&cold)[0]);
+
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
