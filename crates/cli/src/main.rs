@@ -58,6 +58,11 @@
 //! `--critical-path false`) the per-target critical-path attribution
 //! tables with the bottleneck-flip-scale callout.
 //!
+//! `--target` takes a comma list to sweep several core counts over one
+//! shared collection. A single target is a sweep of one: `pipeline` and
+//! `report` each make one engine sweep, and the single-target output is
+//! how a one-lane sweep renders.
+//!
 //! `--threads <N>` (accepted by every command) caps the rayon worker
 //! count used for block-parallel collection and parallel fitting;
 //! `0` or omitting the flag uses all hardware threads. Results are
@@ -67,8 +72,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use xtrace_core::{
-    make_app, make_machine, FormSet, PipelineConfig, StageKind, StageObserver, XtraceEngine,
-    XtraceError,
+    make_app, make_machine, FormSet, PipelineConfig, PipelineReport, StageKind, StageObserver,
+    SweepOutcome, SweepReport, XtraceEngine, XtraceError,
 };
 use xtrace_extrap::{fit_signature_obs, synthesize_from_fit, ExtrapolationConfig, FitReport};
 use xtrace_machine::presets;
@@ -157,6 +162,18 @@ impl Args {
     fn require(&self, key: &str) -> Result<&str> {
         self.get(key)
             .ok_or_else(|| usage_err(format!("missing --{key}")))
+    }
+
+    /// A `true|false` flag, `default` when absent.
+    fn parse_bool(&self, key: &str, default: bool) -> Result<bool> {
+        match self.get(key) {
+            None => Ok(default),
+            Some("true") => Ok(true),
+            Some("false") => Ok(false),
+            Some(other) => Err(usage_err(format!(
+                "--{key} must be true|false, got {other:?}"
+            ))),
+        }
     }
 
     fn parse_u32(&self, key: &str) -> Result<u32> {
@@ -400,49 +417,23 @@ impl StageObserver for EprintObserver {
 }
 
 /// Parses the pipeline-shaped flags shared by `pipeline` and `report`
-/// into a [`PipelineConfig`]. `--target` accepts a comma list; more than
-/// one entry turns the run into a multi-target sweep sharing one
-/// collection.
+/// into a [`PipelineConfig`], through the same builder the serve wire
+/// request lowers onto. `--target` accepts a comma list; more than one
+/// entry turns the run into a multi-target sweep sharing one collection.
 fn pipeline_config(args: &Args) -> Result<PipelineConfig> {
-    let training: Vec<u32> = args
-        .require("training")?
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| usage_err(format!("bad core count {s:?}")))
-        })
-        .collect::<Result<_>>()?;
-    let targets: Vec<u32> = args
-        .require("target")?
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| usage_err(format!("bad target core count {s:?}")))
-        })
-        .collect::<Result<_>>()?;
-    let mut config = PipelineConfig::new(
-        args.require("app")?,
-        args.require("machine")?,
-        training,
-        targets[0],
-    );
-    if targets.len() > 1 {
-        config.targets = targets;
-    }
-    config.scale = args.get("scale").unwrap_or("small").to_string();
-    config.forms = FormSet::parse(args.get("forms").unwrap_or("paper"))?;
-    config.validate = match args.get("validate").unwrap_or("true") {
-        "true" => true,
-        "false" => false,
-        other => {
-            return Err(usage_err(format!(
-                "--validate must be true|false, got {other:?}"
-            )))
-        }
+    let counts = |key: &str, what: &str| -> Result<Vec<u32>> {
+        args.require(key)?
+            .split(',')
+            .map(|s| {
+                s.trim()
+                    .parse()
+                    .map_err(|_| usage_err(format!("bad {what} {s:?}")))
+            })
+            .collect()
     };
-    config.fast_tracer = match args.get("tracer").unwrap_or("default") {
+    let training = counts("training", "core count")?;
+    let targets = counts("target", "target core count")?;
+    let fast_tracer = match args.get("tracer").unwrap_or("default") {
         "fast" => true,
         "default" => false,
         other => {
@@ -451,23 +442,29 @@ fn pipeline_config(args: &Args) -> Result<PipelineConfig> {
             )))
         }
     };
+    let mut builder = PipelineConfig::builder(
+        args.require("app")?,
+        args.require("machine")?,
+        training,
+        targets[0],
+    )
+    .scale(args.get("scale").unwrap_or("small"))
+    .forms(FormSet::parse(args.get("forms").unwrap_or("paper"))?)
+    .validate(args.parse_bool("validate", true)?)
+    .fast_tracer(fast_tracer)
+    .critical_path(args.parse_bool("critical-path", true)?);
     if let Some(k) = args.get("ranks-per-count") {
-        config.ranks_per_count = k
-            .parse()
-            .ok()
-            .filter(|&k| k >= 1)
-            .ok_or_else(|| usage_err("--ranks-per-count must be a positive integer"))?;
+        builder = builder.ranks_per_count(
+            k.parse()
+                .ok()
+                .filter(|&k| k >= 1)
+                .ok_or_else(|| usage_err("--ranks-per-count must be a positive integer"))?,
+        );
     }
-    config.critical_path = match args.get("critical-path").unwrap_or("true") {
-        "true" => true,
-        "false" => false,
-        other => {
-            return Err(usage_err(format!(
-                "--critical-path must be true|false, got {other:?}"
-            )))
-        }
-    };
-    Ok(config)
+    if targets.len() > 1 {
+        builder = builder.targets(targets);
+    }
+    Ok(builder.build())
 }
 
 /// Renders one target's critical-path attribution: the per-(class, phase)
@@ -561,37 +558,72 @@ fn class_split_section(journal: &xtrace_obs::JournalSnapshot, targets: &[u32]) -
     out
 }
 
+/// Runs `config` through a fresh engine as one sweep — a single target is
+/// a sweep of one — with `--store` attached and progress narrated on
+/// stderr. One engine per invocation gives the run its own scoped
+/// observability context, so the snapshots written afterwards are this
+/// run's and nothing else's. `--diagnostics-out` is per-target, so a wider
+/// sweep refuses it before running.
+fn run_pipeline(args: &Args, config: &PipelineConfig) -> Result<(XtraceEngine, SweepOutcome)> {
+    if args.get("diagnostics-out").is_some() && config.effective_targets().len() > 1 {
+        return Err(usage_err(
+            "--diagnostics-out is per-target; run a single target for diagnostics",
+        ));
+    }
+    let mut engine = XtraceEngine::new();
+    if let Some(dir) = args.get("store") {
+        engine = engine.with_store(dir)?;
+    }
+    let outcome = engine.run_sweep_with_observer(config, Some(Box::new(EprintObserver)))?;
+    Ok((engine, outcome))
+}
+
+/// Reports on stderr how many artifacts the store served, and the in-memory
+/// cache counters of the engine's store when one is attached (`--store`).
+fn print_store_summary(engine: &XtraceEngine, sweep: &SweepReport) {
+    let hits: usize = sweep.reports.iter().map(|r| r.cache_hits).sum();
+    let misses: usize = sweep.reports.iter().map(|r| r.cache_misses).sum();
+    if hits > 0 {
+        eprintln!("store: {hits} artifact(s) reused, {misses} computed");
+    }
+    if let Some(stats) = engine.store().map(|s| s.cache_stats()) {
+        eprintln!(
+            "store cache: {} hit(s), {} miss(es), {} write(s)",
+            stats.hits, stats.misses, stats.writes
+        );
+    }
+}
+
 /// Writes the observability artifacts shared by `pipeline` and `report`:
 /// `--metrics-out` (snapshot JSON), `--trace-out` (Chrome trace), and
-/// `--diagnostics-out` (fit diagnostics JSON). `metrics` and `journal`
-/// are the *run's own* snapshots (from its [`xtrace_core::EngineOutcome`]),
-/// so sequential or concurrent runs in one process can never bleed
-/// counters into each other's output.
-fn write_obs_outputs(
-    args: &Args,
-    report: &xtrace_core::PipelineReport,
-    metrics: &xtrace_obs::Snapshot,
-    journal: Option<&xtrace_obs::JournalSnapshot>,
-) -> Result<()> {
+/// `--diagnostics-out` (the one target's fit diagnostics JSON). The
+/// snapshots are the *run's own* (from its [`SweepOutcome`]), so
+/// sequential or concurrent runs in one process can never bleed counters
+/// into each other's output.
+fn write_obs_outputs(args: &Args, outcome: &SweepOutcome) -> Result<()> {
     if let Some(path) = args.get("metrics-out") {
-        write_file(path, metrics.to_json() + "\n")?;
+        write_file(path, outcome.metrics.to_json() + "\n")?;
         eprintln!("wrote metrics to {path}");
     }
     if let Some(path) = args.get("trace-out") {
-        let journal = journal.ok_or_else(|| {
+        let journal = outcome.journal.as_ref().ok_or_else(|| {
             XtraceError::Model("--trace-out needs the event journal (internal error)".into())
         })?;
         write_file(path, xtrace_obs::chrome_trace(journal) + "\n")?;
         eprintln!("wrote Chrome trace to {path} (open in https://ui.perfetto.dev)");
     }
     if let Some(path) = args.get("diagnostics-out") {
-        let diag = report.fit_diagnostics.as_ref().ok_or_else(|| {
-            XtraceError::Model(
-                "fit diagnostics unavailable: this run resumed the fit stage from a store \
-                 written before diagnostics existed — rerun after clearing the store"
-                    .into(),
-            )
-        })?;
+        // `run_pipeline` admits this flag on one target only.
+        let diag = outcome.sweep.reports[0]
+            .fit_diagnostics
+            .as_ref()
+            .ok_or_else(|| {
+                XtraceError::Model(
+                    "fit diagnostics unavailable: this run resumed the fit stage from a store \
+                     written before diagnostics existed — rerun after clearing the store"
+                        .into(),
+                )
+            })?;
         write_file(path, diag.to_json() + "\n")?;
         eprintln!("wrote fit diagnostics to {path}");
     }
@@ -603,7 +635,7 @@ fn write_obs_outputs(
 /// `pipeline` sends it to stderr (its stdout must stay deterministic
 /// across thread counts and store states) while `report` prints it —
 /// `report` is the human diagnostics view, like its stage-timing table.
-fn sweep_table(sweep: &xtrace_core::SweepReport) -> String {
+fn sweep_table(sweep: &SweepReport) -> String {
     use std::fmt::Write as _;
     let first = &sweep.reports[0];
     let mut out = String::new();
@@ -664,37 +696,33 @@ fn sweep_table(sweep: &xtrace_core::SweepReport) -> String {
     out
 }
 
-/// Prints the in-memory cache counters of an engine's shared store, when
-/// one is attached (`--store`).
-fn print_cache_stats(engine: &XtraceEngine) {
-    if let Some(stats) = engine.store().map(|s| s.cache_stats()) {
-        eprintln!(
-            "store cache: {} hit(s), {} miss(es), {} write(s)",
-            stats.hits, stats.misses, stats.writes
-        );
-    }
-}
-
-/// The multi-target arm of `cmd_pipeline`: one sweep, one table, one
-/// prediction file holding every target.
-fn sweep_pipeline(
-    args: &Args,
-    engine: &XtraceEngine,
-    config: &PipelineConfig,
-    metrics_table: bool,
-) -> Result<()> {
-    if args.get("diagnostics-out").is_some() {
-        return Err(usage_err(
-            "--diagnostics-out is per-target; run a single-target pipeline for diagnostics",
-        ));
-    }
-    let outcome = engine.run_sweep_with_observer(config, Some(Box::new(EprintObserver)))?;
-    let sweep = &outcome.sweep;
-    // Stdout mirrors the single-target contract — one deterministic
-    // prediction line per target, identical at any thread count or store
-    // state; the wall-clock table goes to stderr with the stage timings.
+/// Prints one deterministic prediction line per target on stdout,
+/// identical at any thread count or store state. A validated one-lane
+/// sweep renders the single-target `Extrap.`/`Coll.` table instead.
+fn print_predictions(sweep: &SweepReport) {
+    let single = sweep.targets.len() == 1;
     for (t, r) in sweep.targets.iter().zip(&sweep.reports) {
         match &r.validation {
+            Some(v) if single => {
+                println!(
+                    "\n{:<16} {:>6} {:>8} {:>12} {:>8}",
+                    "application", "cores", "trace", "runtime (s)", "% err"
+                );
+                for (label, total, err) in [
+                    ("Extrap.", r.prediction.total_seconds, v.extrapolated_error),
+                    ("Coll.", v.collected.total_seconds, v.collected_error),
+                ] {
+                    println!(
+                        "{:<16} {:>6} {:>8} {:>12.3} {:>7.1}%",
+                        r.extrapolated.app,
+                        t,
+                        label,
+                        total,
+                        100.0 * err
+                    );
+                }
+                println!("measured: {:.3} s", v.measured_seconds);
+            }
             Some(v) => println!(
                 "{} @ {} cores: predicted {:.3} s, measured {:.3} s, err {:.1}% (config {})",
                 r.extrapolated.app,
@@ -710,40 +738,6 @@ fn sweep_pipeline(
             ),
         }
     }
-    eprint!("{}", sweep_table(sweep));
-    let hits: usize = sweep.reports.iter().map(|r| r.cache_hits).sum();
-    let misses: usize = sweep.reports.iter().map(|r| r.cache_misses).sum();
-    if hits > 0 {
-        eprintln!("store: {hits} artifact(s) reused, {misses} computed");
-    }
-    print_cache_stats(engine);
-    if let Some(path) = args.get("out") {
-        // The stable per-target row schema shared with the serve API.
-        let rows = sweep.prediction_rows();
-        let body = serde_json::to_string_pretty(&rows).expect("serializable");
-        write_file(path, body + "\n")?;
-        eprintln!("wrote {} predictions to {path}", rows.len());
-    }
-    if metrics_table {
-        eprintln!("{}", outcome.metrics.render_table());
-    }
-    write_obs_outputs(
-        args,
-        &sweep.reports[0],
-        &outcome.metrics,
-        outcome.journal.as_ref(),
-    )?;
-    write_critical_out(
-        args,
-        &sweep.targets,
-        sweep.bottleneck_flip_target(),
-        sweep
-            .reports
-            .iter()
-            .map(|r| r.critical_path.as_ref())
-            .collect(),
-    )?;
-    Ok(())
 }
 
 fn cmd_pipeline(args: &Args) -> Result<()> {
@@ -757,79 +751,38 @@ fn cmd_pipeline(args: &Args) -> Result<()> {
             )))
         }
     };
-    // One engine per invocation: every run gets its own scoped
-    // observability context, so the snapshots written below are this
-    // run's and nothing else's.
-    let mut engine = XtraceEngine::new();
-    if let Some(dir) = args.get("store") {
-        engine = engine.with_store(dir)?;
+    let (engine, outcome) = run_pipeline(args, &config)?;
+    let sweep = &outcome.sweep;
+    print_predictions(sweep);
+    if sweep.targets.len() > 1 {
+        eprint!("{}", sweep_table(sweep));
     }
-    if config.effective_targets().len() > 1 {
-        return sweep_pipeline(args, &engine, &config, metrics_table);
-    }
-    let outcome = engine.run_with_observer(&config, Some(Box::new(EprintObserver)))?;
-    let report = outcome.report;
-
-    if let Some(v) = &report.validation {
-        println!(
-            "\n{:<16} {:>6} {:>8} {:>12} {:>8}",
-            "application", "cores", "trace", "runtime (s)", "% err"
-        );
-        for (label, total, err) in [
-            (
-                "Extrap.",
-                report.prediction.total_seconds,
-                v.extrapolated_error,
-            ),
-            ("Coll.", v.collected.total_seconds, v.collected_error),
-        ] {
-            println!(
-                "{:<16} {:>6} {:>8} {:>12.3} {:>7.1}%",
-                report.extrapolated.app,
-                report.extrapolated.nranks,
-                label,
-                total,
-                100.0 * err
-            );
-        }
-        println!("measured: {:.3} s", v.measured_seconds);
-    } else {
-        println!(
-            "{} @ {} cores: predicted {:.3} s (config {})",
-            report.extrapolated.app,
-            report.extrapolated.nranks,
-            report.prediction.total_seconds,
-            report.config_hash
-        );
-    }
-    if report.cache_hits > 0 {
-        eprintln!(
-            "store: {} artifact(s) reused, {} computed",
-            report.cache_hits, report.cache_misses
-        );
-    }
+    print_store_summary(&engine, sweep);
     if let Some(path) = args.get("out") {
-        let body = serde_json::to_string_pretty(&report.prediction).expect("serializable");
+        // One target writes its prediction; a wider sweep writes the
+        // stable per-target row schema shared with the serve API.
+        let body = match &sweep.reports[..] {
+            [report] => serde_json::to_string_pretty(&report.prediction),
+            _ => serde_json::to_string_pretty(&sweep.prediction_rows()),
+        }
+        .expect("serializable");
         write_file(path, body + "\n")?;
-        eprintln!("wrote prediction to {path}");
+        eprintln!("wrote {} prediction(s) to {path}", sweep.reports.len());
     }
     if metrics_table {
         eprintln!("{}", outcome.metrics.render_table());
     }
-    write_obs_outputs(args, &report, &outcome.metrics, outcome.journal.as_ref())?;
-    write_critical_out(
-        args,
-        &[report.extrapolated.nranks],
-        None,
-        vec![report.critical_path.as_ref()],
-    )?;
-    Ok(())
+    write_obs_outputs(args, &outcome)?;
+    write_critical_out(args, sweep)
 }
 
 /// `xtrace report`: run the pipeline (journal always on) and render a
-/// human-readable run report — stage timing breakdown, canonical-form win
-/// table, the top-K worst-fit elements, and the per-rank-class compute
-/// vs. communication split from the replay journal.
+/// human-readable run report. One target renders the run's stage timing
+/// breakdown, canonical-form win table and the top-K worst-fit elements; a
+/// wider sweep renders the shared-prefix timings, the per-target result
+/// table and per-target win counts. Both then render the per-rank-class
+/// compute vs. communication split from the replay journal and the
+/// critical-path attribution of every target.
 fn cmd_report(args: &Args) -> Result<()> {
     let config = pipeline_config(args)?;
     let top: usize = args
@@ -837,23 +790,45 @@ fn cmd_report(args: &Args) -> Result<()> {
         .unwrap_or("5")
         .parse()
         .map_err(|_| usage_err("--top must be an integer"))?;
-    let mut engine = XtraceEngine::new();
-    if let Some(dir) = args.get("store") {
-        engine = engine.with_store(dir)?;
+    let (engine, outcome) = run_pipeline(args, &config)?;
+    let sweep = &outcome.sweep;
+    match &sweep.reports[..] {
+        [report] => print_run_summary(report, top),
+        _ => print_sweep_summary(sweep),
     }
-    if config.effective_targets().len() > 1 {
-        return sweep_report(args, &engine, &config);
+    if let Some(journal) = &outcome.journal {
+        print!("{}", class_split_section(journal, &sweep.targets));
     }
-    let outcome = engine.run_with_observer(&config, Some(Box::new(EprintObserver)))?;
-    let report = outcome.report;
-    let journal = outcome
-        .journal
-        .clone()
-        .unwrap_or_else(|| xtrace_obs::JournalSnapshot {
-            events: Vec::new(),
-            dropped: 0,
-        });
+    let bottlenecks = sweep.bottlenecks();
+    if sweep.targets.len() > 1 && !bottlenecks.is_empty() {
+        println!("\ncritical-path bottleneck per target:");
+        for (t, class, phase, share_bp) in &bottlenecks {
+            println!(
+                "  t={t}: class {class} {phase} ({:.2}% of the path)",
+                f64::from(*share_bp) / 100.0
+            );
+        }
+        match sweep.bottleneck_flip_target() {
+            Some(flip) => println!(
+                "  bottleneck flips at p = {flip}: the dominant cost changes between \
+                 these scales — extrapolations crossing p = {flip} change regime"
+            ),
+            None => println!("  bottleneck is stable across every swept target"),
+        }
+    }
+    for (t, r) in sweep.targets.iter().zip(&sweep.reports) {
+        if let Some(critical) = &r.critical_path {
+            print!("{}", critical_path_section(*t, critical));
+        }
+    }
+    print_store_summary(&engine, sweep);
+    write_obs_outputs(args, &outcome)
+}
 
+/// The head of a one-target run report: the prediction, its validation,
+/// the stage timing breakdown, the canonical-form win table and the `top`
+/// worst-fit elements by winner R².
+fn print_run_summary(report: &PipelineReport, top: usize) {
     println!("== xtrace run report ==");
     println!(
         "{} @ {} cores on {} — predicted {:.3} s (config {})",
@@ -889,79 +864,43 @@ fn cmd_report(args: &Args) -> Result<()> {
     }
     println!("  {:<12} {:>9.3} s", "total", total);
 
-    match &report.fit_diagnostics {
-        Some(diag) => {
-            println!(
-                "\ncanonical-form wins ({} elements, extrapolation distance {:.1}x):",
-                diag.elements.len(),
-                diag.extrapolation_distance()
-            );
-            let total_wins: u64 = diag.form_wins.values().sum::<u64>().max(1);
-            for (form, n) in &diag.form_wins {
-                println!(
-                    "  {:<10} {:>6}  {:>5.1}%",
-                    form,
-                    n,
-                    100.0 * *n as f64 / total_wins as f64
-                );
-            }
-            println!("\nworst-fit elements (by winner R², top {top}):");
-            println!(
-                "  {:<22} {:<5} {:<14} {:<10} {:>11} {:>8}",
-                "block", "instr", "feature", "form", "sse", "R²"
-            );
-            for i in diag.worst_fit(top) {
-                let e = &diag.elements[i];
-                println!(
-                    "  {:<22} i{:<4} {:<14} {:<10} {:>11.4e} {:>8.4}",
-                    e.block, e.instr, e.feature, e.winner, e.winner_sse, e.winner_r2
-                );
-            }
-        }
-        None => println!(
-            "\nfit diagnostics unavailable (fit stage resumed from a pre-diagnostics store)"
-        ),
-    }
-
-    // Per-rank-class compute/comm split at the requested target count,
-    // labelled explicitly (historically this printed only the largest
-    // simulated count, which misrepresented sweeps).
-    print!(
-        "{}",
-        class_split_section(&journal, &config.effective_targets())
+    let Some(diag) = &report.fit_diagnostics else {
+        println!("\nfit diagnostics unavailable (fit stage resumed from a pre-diagnostics store)");
+        return;
+    };
+    println!(
+        "\ncanonical-form wins ({} elements, extrapolation distance {:.1}x):",
+        diag.elements.len(),
+        diag.extrapolation_distance()
     );
-
-    if let Some(critical) = &report.critical_path {
-        print!(
-            "{}",
-            critical_path_section(report.extrapolated.nranks, critical)
+    let total_wins: u64 = diag.form_wins.values().sum::<u64>().max(1);
+    for (form, n) in &diag.form_wins {
+        println!(
+            "  {:<10} {:>6}  {:>5.1}%",
+            form,
+            n,
+            100.0 * *n as f64 / total_wins as f64
         );
     }
-
-    if report.cache_hits > 0 {
-        eprintln!(
-            "store: {} artifact(s) reused, {} computed",
-            report.cache_hits, report.cache_misses
+    println!("\nworst-fit elements (by winner R², top {top}):");
+    println!(
+        "  {:<22} {:<5} {:<14} {:<10} {:>11} {:>8}",
+        "block", "instr", "feature", "form", "sse", "R²"
+    );
+    for i in diag.worst_fit(top) {
+        let e = &diag.elements[i];
+        println!(
+            "  {:<22} i{:<4} {:<14} {:<10} {:>11.4e} {:>8.4}",
+            e.block, e.instr, e.feature, e.winner, e.winner_sse, e.winner_r2
         );
     }
-    print_cache_stats(&engine);
-    write_obs_outputs(args, &report, &outcome.metrics, outcome.journal.as_ref())?;
-    Ok(())
 }
 
-/// The multi-target arm of `cmd_report`: the shared-prefix timing
-/// breakdown, the per-target result table, and the per-target
-/// canonical-form win summary.
-fn sweep_report(args: &Args, engine: &XtraceEngine, config: &PipelineConfig) -> Result<()> {
-    if args.get("diagnostics-out").is_some() {
-        return Err(usage_err(
-            "--diagnostics-out is per-target; run a single-target report for diagnostics",
-        ));
-    }
-    let outcome = engine.run_sweep_with_observer(config, Some(Box::new(EprintObserver)))?;
-    let sweep = &outcome.sweep;
+/// The head of a multi-target sweep report: the shared-prefix timing
+/// breakdown, the per-target result table and the per-target
+/// canonical-form win counts.
+fn print_sweep_summary(sweep: &SweepReport) {
     let first = &sweep.reports[0];
-
     println!("== xtrace sweep report ==");
     println!(
         "{} on {} — training {:?}, targets {:?}",
@@ -991,42 +930,6 @@ fn sweep_report(args: &Args, engine: &XtraceEngine, config: &PipelineConfig) -> 
             None => println!("  t={t}: (diagnostics unavailable)"),
         }
     }
-
-    if let Some(journal) = &outcome.journal {
-        print!("{}", class_split_section(journal, &sweep.targets));
-    }
-
-    let bottlenecks = sweep.bottlenecks();
-    if !bottlenecks.is_empty() {
-        println!("\ncritical-path bottleneck per target:");
-        for (t, class, phase, share_bp) in &bottlenecks {
-            println!(
-                "  t={t}: class {class} {phase} ({:.2}% of the path)",
-                f64::from(*share_bp) / 100.0
-            );
-        }
-        match sweep.bottleneck_flip_target() {
-            Some(flip) => println!(
-                "  bottleneck flips at p = {flip}: the dominant cost changes between \
-                 these scales — extrapolations crossing p = {flip} change regime"
-            ),
-            None => println!("  bottleneck is stable across every swept target"),
-        }
-        for (t, r) in sweep.targets.iter().zip(&sweep.reports) {
-            if let Some(critical) = &r.critical_path {
-                print!("{}", critical_path_section(*t, critical));
-            }
-        }
-    }
-
-    let hits: usize = sweep.reports.iter().map(|r| r.cache_hits).sum();
-    let misses: usize = sweep.reports.iter().map(|r| r.cache_misses).sum();
-    if hits > 0 {
-        eprintln!("store: {hits} artifact(s) reused, {misses} computed");
-    }
-    print_cache_stats(engine);
-    write_obs_outputs(args, first, &outcome.metrics, outcome.journal.as_ref())?;
-    Ok(())
 }
 
 /// `xtrace bench-verdict`: judges saved perfbench outputs against the
@@ -1037,15 +940,7 @@ fn sweep_report(args: &Args, engine: &XtraceEngine, config: &PipelineConfig) -> 
 /// when any metric regresses.
 fn cmd_bench_verdict(args: &Args) -> Result<()> {
     use xtrace_obs::{HistoryRow, PerfbenchRun, Verdict};
-    let append = match args.get("append").unwrap_or("false") {
-        "true" => true,
-        "false" => false,
-        other => {
-            return Err(usage_err(format!(
-                "--append must be true|false, got {other:?}"
-            )))
-        }
-    };
+    let append = args.parse_bool("append", false)?;
     if args.positional.is_empty() {
         return Err(usage_err(
             "bench-verdict needs saved perfbench outputs as positional arguments",
@@ -1185,42 +1080,40 @@ fn utc_date(now: std::time::SystemTime) -> String {
     format!("{year:04}-{month:02}-{day:02}")
 }
 
-/// The `--critical-out` payload: every attributed target's critical-path
-/// report plus the sweep's bottleneck-flip scale.
+/// The `--critical-out` payload: every target's critical-path report plus
+/// the sweep's bottleneck-flip scale.
 #[derive(serde::Serialize)]
 struct CriticalOut {
-    /// Attributed targets, in sweep order.
+    /// The swept targets, in sweep order.
     targets: Vec<u32>,
     /// First target whose bottleneck differs from the first target's.
     flip_target: Option<u32>,
-    /// One report per attributed target, ordered like `targets`.
+    /// One report per target, ordered like `targets`.
     reports: Vec<xtrace_spmd::CriticalPathReport>,
 }
 
 /// Writes `--critical-out`: the per-target critical-path reports and the
 /// flip scale as JSON. An error when attribution is disabled or
 /// unavailable, so CI never silently gates on an empty file.
-fn write_critical_out(
-    args: &Args,
-    targets: &[u32],
-    flip_target: Option<u32>,
-    reports: Vec<Option<&xtrace_spmd::CriticalPathReport>>,
-) -> Result<()> {
+fn write_critical_out(args: &Args, sweep: &SweepReport) -> Result<()> {
     let Some(path) = args.get("critical-out") else {
         return Ok(());
     };
-    let attributed: Vec<xtrace_spmd::CriticalPathReport> =
-        reports.iter().filter_map(|r| r.cloned()).collect();
-    if attributed.len() != targets.len() {
+    let reports: Vec<xtrace_spmd::CriticalPathReport> = sweep
+        .reports
+        .iter()
+        .filter_map(|r| r.critical_path.clone())
+        .collect();
+    if reports.len() != sweep.targets.len() {
         return Err(XtraceError::Model(
             "--critical-out needs critical-path attribution (--critical-path true, the default)"
                 .into(),
         ));
     }
     let out = CriticalOut {
-        targets: targets.to_vec(),
-        flip_target,
-        reports: attributed,
+        targets: sweep.targets.clone(),
+        flip_target: sweep.bottleneck_flip_target(),
+        reports,
     };
     let body = serde_json::to_string_pretty(&out).expect("serializable");
     write_file(path, body + "\n")?;

@@ -11,8 +11,13 @@ fn xtrace(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
+/// An empty scratch directory for one test, under a root unique to this
+/// test process, so leftovers of an earlier run or build never leak in.
 fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("xtrace-cli-tests").join(name);
+    let dir = std::env::temp_dir()
+        .join(format!("xtrace-cli-tests-{}", std::process::id()))
+        .join(name);
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -792,6 +797,57 @@ fn pipeline_subcommand_prints_table() {
     assert!(s.contains("measured"));
 }
 
+/// `xtrace pipeline` stdout on the tiny SPECFEM golden config, pinned byte
+/// for byte: one validated target (the `Extrap.`/`Coll.` table) and an
+/// unvalidated two-target sweep (one prediction line per target). Re-bless
+/// with `UPDATE_GOLDEN=1` and justify the delta.
+#[test]
+fn pipeline_stdout_matches_committed_golden() {
+    let mut actual = String::new();
+    for (target, validate) in [("384", "true"), ("384,768", "false")] {
+        let out = xtrace(&[
+            "pipeline",
+            "--app",
+            "specfem3d",
+            "--scale",
+            "tiny",
+            "--training",
+            "6,24,96",
+            "--target",
+            target,
+            "--machine",
+            "cray-xt5",
+            "--tracer",
+            "fast",
+            "--validate",
+            validate,
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        actual.push_str(&format!(
+            "$ xtrace pipeline --target {target} --validate {validate}\n"
+        ));
+        actual.push_str(&String::from_utf8(out.stdout).unwrap());
+    }
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/specfem_tiny_pipeline_stdout.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); bless with UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual,
+        expected,
+        "pipeline stdout drifted from {}; re-bless with UPDATE_GOLDEN=1 if intentional",
+        path.display()
+    );
+}
+
 #[test]
 fn report_renders_critical_path_and_per_target_splits() {
     let out = xtrace(&[
@@ -1049,7 +1105,6 @@ fn metrics_out_carries_stage_spans_and_required_keys() {
         "spmd.rank_classes",
         "spmd.critical_path.segments",
         "spmd.critical_path.bottleneck_share_bp",
-        "psins.convolve_cache.hits",
         "tracer.ring.peak_refs",
         "tracer.ring.capacity_refs",
         "engine.in_flight",

@@ -74,8 +74,7 @@ pub struct PipelineConfig {
     /// Training core counts (at least two, strictly below `target`).
     pub training: Vec<u32>,
     /// Core count to extrapolate to. When [`Self::targets`] is non-empty
-    /// this is its first entry (kept in sync for compatibility with code
-    /// that predates multi-target sweeps).
+    /// this must be its first entry.
     pub target: u32,
     /// Every core count a sweep extrapolates to. Empty means "just
     /// [`Self::target`]" — the single-target configuration unchanged from
@@ -181,11 +180,12 @@ impl PipelineConfig {
     /// config, as a 16-digit hex string. Identical configs — and only
     /// identical configs, modulo hash collisions — share in-flight engine
     /// runs. The target list is normalized first, so a one-entry sweep
-    /// hashes identically to the plain single-target spelling.
+    /// hashes identically to the plain single-target spelling. `target` is
+    /// hashed as given, so a list that does not start with it (which
+    /// [`Self::resolve`] rejects) never shares a flight with a valid config.
     pub fn config_hash(&self) -> String {
         let mut canon = self.clone();
         canon.targets = self.effective_targets();
-        canon.target = canon.targets[0];
         fnv64_hex(&serde_json::to_string(&canon).expect("config serializes"))
     }
 
@@ -343,13 +343,10 @@ impl PipelineConfigBuilder {
     }
 
     /// Every core count to sweep (default: just the constructor's target).
-    /// A non-empty list also re-points `target` at its first entry, keeping
-    /// the two spellings consistent.
+    /// The list must start with the constructor's target;
+    /// [`PipelineConfig::resolve`] rejects one that does not.
     #[must_use]
     pub fn targets(mut self, targets: Vec<u32>) -> Self {
-        if let Some(&first) = targets.first() {
-            self.config.target = first;
-        }
         self.config.targets = targets;
         self
     }

@@ -95,6 +95,25 @@ impl EngineOutcome {
     }
 }
 
+impl From<SweepOutcome> for EngineOutcome {
+    /// The first target's slice of a sweep: the whole outcome of a sweep
+    /// of one, which is how [`XtraceEngine::run`] and the single-target
+    /// front ends answer. The reports of any further targets are dropped.
+    fn from(outcome: SweepOutcome) -> EngineOutcome {
+        EngineOutcome {
+            report: outcome
+                .sweep
+                .reports
+                .into_iter()
+                .next()
+                .expect("a sweep has one report per target"),
+            metrics: outcome.metrics,
+            journal: outcome.journal,
+            coalesced: outcome.coalesced,
+        }
+    }
+}
+
 impl SweepOutcome {
     /// The deterministic core of the sweep outcome; see
     /// [`EngineOutcome::masked`].
@@ -213,7 +232,7 @@ impl XtraceEngine {
 
     /// Runs `config`'s one target through the pipeline, coalescing with
     /// any identical in-flight request: [`XtraceEngine::run_sweep`] over a
-    /// sweep of one, sliced into an [`EngineOutcome`].
+    /// sweep of one, as an [`EngineOutcome`].
     ///
     /// The first caller for a given config hash (the *leader*) executes
     /// the pipeline under a fresh journal-enabled [`ObsContext`]; callers
@@ -223,40 +242,12 @@ impl XtraceEngine {
     /// attached, that re-run resolves as cache hits. A multi-target
     /// config is a usage error, raised before joining any flight.
     pub fn run(&self, config: &PipelineConfig) -> Result<EngineOutcome> {
-        self.run_with_observer(config, None)
-    }
-
-    /// [`XtraceEngine::run`] with a progress observer.
-    ///
-    /// The observer sees stage callbacks only if this caller becomes the
-    /// leader; a coalesced caller returns without stage-level progress
-    /// (its work happened on another caller's observer).
-    pub fn run_with_observer(
-        &self,
-        config: &PipelineConfig,
-        observer: Option<Box<dyn StageObserver>>,
-    ) -> Result<EngineOutcome> {
         if config.effective_targets().len() > 1 {
             return Err(XtraceError::Usage(
                 "config sweeps multiple targets; use run_sweep".into(),
             ));
         }
-        let SweepOutcome {
-            sweep,
-            metrics,
-            journal,
-            coalesced,
-        } = self.run_sweep_with_observer(config, observer)?;
-        Ok(EngineOutcome {
-            report: sweep
-                .reports
-                .into_iter()
-                .next()
-                .expect("one report per target"),
-            metrics,
-            journal,
-            coalesced,
-        })
+        self.run_sweep(config).map(EngineOutcome::from)
     }
 
     /// Runs every target of `config`'s sweep, coalescing at *both* hash
@@ -278,8 +269,11 @@ impl XtraceEngine {
         self.run_sweep_with_observer(config, None)
     }
 
-    /// [`XtraceEngine::run_sweep`] with a progress observer (leader-only,
-    /// as with [`XtraceEngine::run_with_observer`]).
+    /// [`XtraceEngine::run_sweep`] with a progress observer.
+    ///
+    /// The observer sees stage callbacks only if this caller becomes the
+    /// leader; a coalesced caller returns without stage-level progress
+    /// (its work happened on another caller's observer).
     pub fn run_sweep_with_observer(
         &self,
         config: &PipelineConfig,

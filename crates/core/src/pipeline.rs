@@ -656,8 +656,6 @@ impl Pipeline {
         if let Some(rec) = recorder {
             // Pre-register the headline counters so every snapshot carries
             // them (reading zero when the run never touches that path).
-            // No stage increments the three `psins.*` counters; they stay
-            // at 0 because the committed metrics golden pins the key set.
             let m = rec.metrics();
             for name in [
                 "tracer.sig_memo.hits",
@@ -668,9 +666,6 @@ impl Pipeline {
                 "store.writes",
                 "extrap.elements_fit",
                 "spmd.events_stepped",
-                "psins.groups_convolved",
-                "psins.convolve_cache.hits",
-                "psins.convolve_cache.misses",
             ] {
                 m.counter(name);
             }

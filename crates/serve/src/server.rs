@@ -408,8 +408,7 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Response {
     let response = match endpoint {
         "healthz" => Response::json(200, "{\"api_version\":1,\"status\":\"ok\"}".into()),
         "metrics" => Response::json(200, shared.recorder.snapshot().to_json()),
-        "predict" => handle_predict(shared, &req.body),
-        _ => handle_sweep(shared, &req.body),
+        _ => handle_run(shared, &req.body, endpoint == "predict"),
     };
     metrics
         .histogram(&format!("serve.latency_us.{endpoint}"))
@@ -441,13 +440,15 @@ fn model_error_response(e: &XtraceError) -> Response {
     Response::json(status, ServeErrorV1::new(code, e.to_string()).to_json())
 }
 
-/// `POST /v1/predict`: one target through the coalescing engine.
-fn handle_predict(shared: &Arc<Shared>, body: &[u8]) -> Response {
+/// `POST /v1/predict` and `POST /v1/sweep`: one engine sweep over the
+/// request's targets — a single target is a sweep of one — answered in the
+/// endpoint's wire shape. `/v1/predict` refuses a multi-target request.
+fn handle_run(shared: &Arc<Shared>, body: &[u8], predict: bool) -> Response {
     let config = match request_config(body) {
         Ok(c) => c,
         Err(response) => return response,
     };
-    if config.effective_targets().len() > 1 {
+    if predict && config.effective_targets().len() > 1 {
         return Response::json(
             422,
             ServeErrorV1::new(
@@ -457,28 +458,14 @@ fn handle_predict(shared: &Arc<Shared>, body: &[u8]) -> Response {
             .to_json(),
         );
     }
-    match shared.engine.run(&config) {
-        Ok(outcome) => {
-            let response = ServeResponseV1::from_outcome(&outcome);
-            let body = serde_json::to_string_pretty(&response).expect("response serializes");
-            Response::json(200, body)
-        }
-        Err(e) => model_error_response(&e),
-    }
-}
-
-/// `POST /v1/sweep`: every target over one shared prefix.
-fn handle_sweep(shared: &Arc<Shared>, body: &[u8]) -> Response {
-    let config = match request_config(body) {
-        Ok(c) => c,
-        Err(response) => return response,
+    let outcome = match shared.engine.run_sweep(&config) {
+        Ok(outcome) => outcome,
+        Err(e) => return model_error_response(&e),
     };
-    match shared.engine.run_sweep(&config) {
-        Ok(outcome) => {
-            let response = ServeSweepResponseV1::from_outcome(&outcome);
-            let body = serde_json::to_string_pretty(&response).expect("response serializes");
-            Response::json(200, body)
-        }
-        Err(e) => model_error_response(&e),
-    }
+    let body = if predict {
+        serde_json::to_string_pretty(&ServeResponseV1::from_outcome(&outcome.into()))
+    } else {
+        serde_json::to_string_pretty(&ServeSweepResponseV1::from_outcome(&outcome))
+    };
+    Response::json(200, body.expect("response serializes"))
 }

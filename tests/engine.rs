@@ -21,7 +21,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xtrace::core::{PipelineConfig, StageKind, StageObserver, XtraceEngine, XtraceError};
+use xtrace::core::{
+    EngineOutcome, PipelineConfig, StageKind, StageObserver, XtraceEngine, XtraceError,
+};
 
 /// The tiny SPECFEM3D run every golden file pins.
 fn golden_config() -> PipelineConfig {
@@ -170,9 +172,10 @@ fn eight_identical_inflight_runs_coalesce_onto_one_cold_pipeline() {
             let cfg = cfg.clone();
             let release = Arc::clone(&release);
             scope.spawn(move || {
-                engine
-                    .run_with_observer(&cfg, Some(Box::new(HoldAtCollect { release })))
-                    .unwrap()
+                let sweep = engine
+                    .run_sweep_with_observer(&cfg, Some(Box::new(HoldAtCollect { release })))
+                    .unwrap();
+                EngineOutcome::from(sweep)
             })
         };
         wait_until("the leader's flight to register", || {

@@ -301,6 +301,24 @@ fn protocol_and_model_errors_map_to_stable_codes() {
     assert_eq!(status, 422);
     assert!(body.contains("/v1/sweep"), "body: {body}");
 
+    // A `targets` list that does not start with `target` → 422 on both
+    // endpoints, never an answer for some other core count.
+    for (path, body) in [
+        (
+            "/v1/predict",
+            r#"{"app":"stencil3d","machine":"opteron","training":[2,4],"target":8,"targets":[64],"validate":false,"fast_tracer":true}"#,
+        ),
+        (
+            "/v1/sweep",
+            r#"{"app":"stencil3d","machine":"opteron","training":[2,4],"target":8,"targets":[16,32],"validate":false,"fast_tracer":true}"#,
+        ),
+    ] {
+        let (status, _, body) = http(addr, "POST", path, Some(body));
+        assert_eq!(status, 422, "{path} body: {body}");
+        let err: ServeErrorV1 = serde_json::from_str(&body).unwrap();
+        assert_eq!(err.error, "invalid_config", "{path} body: {body}");
+    }
+
     // Unknown path → 404; wrong method on a real path → 405.
     let (status, _, _) = http(addr, "POST", "/v2/predict", Some("{}"));
     assert_eq!(status, 404);
