@@ -86,11 +86,15 @@ pub fn factor3(p: u32) -> (u32, u32, u32) {
 }
 
 /// The six face neighbors (±x, ±y, ±z, periodic) of `rank` in the
-/// [`factor3`] grid of `nranks`, deduplicated and excluding self (so small
-/// grids with wraparound self-edges still produce valid neighbor lists).
-pub fn neighbors6(rank: u32, nranks: u32) -> Vec<u32> {
-    assert!(rank < nranks);
-    let (px, py, pz) = factor3(nranks);
+/// `(px, py, pz)` process grid `dims` (as [`factor3`] returns it),
+/// deduplicated and excluding self (so small grids with wraparound
+/// self-edges still produce valid neighbor lists).
+///
+/// Taking the factored grid rather than the rank count lets a caller that
+/// visits every rank factor once per job instead of once per rank.
+pub fn neighbors6(rank: u32, dims: (u32, u32, u32)) -> Vec<u32> {
+    let (px, py, pz) = dims;
+    assert!(rank < px * py * pz);
     let x = rank % px;
     let y = (rank / px) % py;
     let z = rank / (px * py);
@@ -162,15 +166,16 @@ mod tests {
     #[test]
     fn neighbors_are_valid_and_symmetric() {
         for p in [2u32, 6, 8, 24, 96] {
+            let dims = factor3(p);
             for r in 0..p {
-                let ns = neighbors6(r, p);
+                let ns = neighbors6(r, dims);
                 assert!(!ns.is_empty(), "rank {r}/{p} has neighbors");
                 assert!(ns.len() <= 6);
                 for &n in &ns {
                     assert!(n < p);
                     assert_ne!(n, r);
                     assert!(
-                        neighbors6(n, p).contains(&r),
+                        neighbors6(n, dims).contains(&r),
                         "asymmetric edge {r}<->{n} at p={p}"
                     );
                 }
@@ -178,17 +183,50 @@ mod tests {
         }
     }
 
+    /// `neighbors6` against an independent all-pairs scan: `q` is a
+    /// neighbor of `r` iff their grid coordinates differ on exactly one
+    /// axis, by ±1 modulo that axis's extent. Covers a prime count, axes
+    /// of extent 1 and 2 (self-edges and duplicate wraparounds), and
+    /// non-cubic grids.
+    #[test]
+    fn neighbors_match_brute_force_periodic_adjacency() {
+        for p in [1u32, 2, 7, 8, 96, 384, 6144] {
+            let dims @ (px, py, pz) = factor3(p);
+            let coords: Vec<[u32; 3]> = (0..p)
+                .map(|r| [r % px, (r / px) % py, r / (px * py)])
+                .collect();
+            let extents = [px, py, pz];
+            for r in 0..p {
+                let a = coords[r as usize];
+                let expected: Vec<u32> = (0..p)
+                    .filter(|&q| {
+                        let b = coords[q as usize];
+                        let mut differing = (0..3).filter(|&k| a[k] != b[k]);
+                        match (differing.next(), differing.next()) {
+                            (Some(k), None) => {
+                                let d = (b[k] + extents[k] - a[k]) % extents[k];
+                                d == 1 || d == extents[k] - 1
+                            }
+                            _ => false,
+                        }
+                    })
+                    .collect();
+                assert_eq!(neighbors6(r, dims), expected, "rank {r} of {p}");
+            }
+        }
+    }
+
     #[test]
     fn interior_rank_of_large_grid_has_six_neighbors() {
         // 4x4x4 grid, interior-ish rank.
-        let ns = neighbors6(21, 64);
+        let ns = neighbors6(21, factor3(64));
         assert_eq!(ns.len(), 6);
     }
 
     #[test]
     fn two_rank_grid_has_single_neighbor() {
-        assert_eq!(neighbors6(0, 2), vec![1]);
-        assert_eq!(neighbors6(1, 2), vec![0]);
+        assert_eq!(neighbors6(0, factor3(2)), vec![1]);
+        assert_eq!(neighbors6(1, factor3(2)), vec![0]);
     }
 
     #[test]

@@ -53,6 +53,39 @@ pub fn profiling_net() -> NetworkModel {
     NetworkModel::new(6.0e-6, 1.6e9)
 }
 
+/// Checks shared by the proxies' rank-class tests.
+#[cfg(test)]
+mod test_support {
+    use xtrace_spmd::{RankClasses, RankEvent, SpmdApp};
+
+    /// Builds `app`'s rank classes at `p` ranks through its class keys and
+    /// checks them against every materialized rank program: the class
+    /// assignment equals structural grouping, and the one-call
+    /// [`SpmdApp::exchange_partners`] lists equal each program's `Exchange`
+    /// neighbor lists, rank by rank.
+    pub(crate) fn assert_classes_match_materialized(app: &dyn SpmdApp, p: u32) -> RankClasses {
+        let fast = RankClasses::try_from_app(app, p).unwrap();
+        let programs: Vec<_> = (0..p).map(|r| app.rank_program(r, p)).collect();
+        let slow = RankClasses::try_from_programs(&programs).unwrap();
+        assert_eq!(fast.assignment(), slow.assignment(), "p={p}");
+        let materialized: Vec<Vec<Vec<u32>>> = programs
+            .iter()
+            .map(|program| {
+                program
+                    .events
+                    .iter()
+                    .filter_map(|e| match e {
+                        RankEvent::Exchange { neighbors, .. } => Some(neighbors.clone()),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(app.exchange_partners(p), materialized, "p={p}");
+        fast
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,7 +47,7 @@ use xtrace_ir::{
 };
 use xtrace_spmd::{NetworkModel, RankEvent, RankProgram, SpmdApp};
 
-use crate::decomp::{neighbors6, scaled_share, ScalingMode};
+use crate::decomp::{factor3, neighbors6, scaled_share, ScalingMode};
 /// Global (core-count-independent) problem description.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpecfemConfig {
@@ -324,7 +324,7 @@ impl SpmdApp for SpecfemProxy {
                     invocations: ts,
                 },
                 RankEvent::Exchange {
-                    neighbors: neighbors6(rank, nranks),
+                    neighbors: neighbors6(rank, factor3(nranks)),
                     bytes_per_neighbor: face_bytes,
                     repeats: ts,
                 },
@@ -362,8 +362,11 @@ impl SpmdApp for SpecfemProxy {
         Some(u64::from(extra) << 1 | u64::from(rank == 0))
     }
 
-    fn exchange_partners(&self, rank: u32, nranks: u32) -> Vec<Vec<u32>> {
-        vec![neighbors6(rank, nranks)]
+    fn exchange_partners(&self, nranks: u32) -> Vec<Vec<Vec<u32>>> {
+        let dims = factor3(nranks);
+        (0..nranks)
+            .map(|rank| vec![neighbors6(rank, dims)])
+            .collect()
     }
 }
 
@@ -597,15 +600,12 @@ mod tests {
 
     #[test]
     fn rank_classes_match_materialized_grouping() {
-        use xtrace_spmd::RankClasses;
+        use crate::test_support::assert_classes_match_materialized;
         let app = SpecfemProxy::small();
         // 768 elements over 100 ranks leaves a remainder, so remainder
         // workers, plain workers, and the master are all present.
-        for p in [1u32, 7, 100] {
-            let fast = RankClasses::try_from_app(&app, p).unwrap();
-            let programs: Vec<_> = (0..p).map(|r| app.rank_program(r, p)).collect();
-            let slow = RankClasses::try_from_programs(&programs).unwrap();
-            assert_eq!(fast.assignment(), slow.assignment(), "p={p}");
+        for p in [1u32, 2, 7, 8, 96, 100, 384] {
+            let fast = assert_classes_match_materialized(&app, p);
             assert!(fast.num_classes() <= 3, "p={p}: {}", fast.num_classes());
         }
     }

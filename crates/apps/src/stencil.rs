@@ -10,7 +10,7 @@ use xtrace_ir::{
 };
 use xtrace_spmd::{RankEvent, RankProgram, SpmdApp};
 
-use crate::decomp::{neighbors6, scaled_share, ScalingMode};
+use crate::decomp::{factor3, neighbors6, scaled_share, ScalingMode};
 /// Global problem description.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StencilConfig {
@@ -116,7 +116,7 @@ impl SpmdApp for StencilProxy {
                     invocations: ts,
                 },
                 RankEvent::Exchange {
-                    neighbors: neighbors6(rank, nranks),
+                    neighbors: neighbors6(rank, factor3(nranks)),
                     bytes_per_neighbor: nx * nx * 8,
                     repeats: ts,
                 },
@@ -140,8 +140,11 @@ impl SpmdApp for StencilProxy {
         Some(u64::from(cells != last))
     }
 
-    fn exchange_partners(&self, rank: u32, nranks: u32) -> Vec<Vec<u32>> {
-        vec![neighbors6(rank, nranks)]
+    fn exchange_partners(&self, nranks: u32) -> Vec<Vec<Vec<u32>>> {
+        let dims = factor3(nranks);
+        (0..nranks)
+            .map(|rank| vec![neighbors6(rank, dims)])
+            .collect()
     }
 }
 
@@ -180,14 +183,11 @@ mod tests {
 
     #[test]
     fn rank_classes_match_materialized_grouping() {
-        use xtrace_spmd::RankClasses;
+        use crate::test_support::assert_classes_match_materialized;
         let app = StencilProxy::small();
-        // 4096 cells over 80 ranks leaves a remainder.
-        for p in [1u32, 80] {
-            let fast = RankClasses::try_from_app(&app, p).unwrap();
-            let programs: Vec<_> = (0..p).map(|r| app.rank_program(r, p)).collect();
-            let slow = RankClasses::try_from_programs(&programs).unwrap();
-            assert_eq!(fast.assignment(), slow.assignment(), "p={p}");
+        // 4096 cells over 7, 80, 96 or 384 ranks leaves a remainder.
+        for p in [1u32, 2, 7, 8, 80, 96, 384] {
+            let fast = assert_classes_match_materialized(&app, p);
             assert!(fast.num_classes() <= 2, "p={p}");
         }
     }

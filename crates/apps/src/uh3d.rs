@@ -37,7 +37,7 @@ use xtrace_ir::{
 };
 use xtrace_spmd::{NetworkModel, RankEvent, RankProgram, SpmdApp};
 
-use crate::decomp::{neighbors6, scaled_share, ScalingMode};
+use crate::decomp::{factor3, neighbors6, scaled_share, ScalingMode};
 /// Global problem description.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Uh3dConfig {
@@ -268,7 +268,7 @@ impl SpmdApp for Uh3dProxy {
 
         let program = b.build().expect("uh3d proxy program is valid");
 
-        let neighbors = neighbors6(rank, nranks);
+        let neighbors = neighbors6(rank, factor3(nranks));
         // Particle migration: surface particles leave each step.
         let migration_bytes = ((parts as f64).powf(2.0 / 3.0).ceil() as u64) * PARTICLE_BYTES;
         // Field halo: one face of the subgrid.
@@ -329,9 +329,15 @@ impl SpmdApp for Uh3dProxy {
         Some(u64::from(pe) << 2 | u64::from(ce) << 1 | u64::from(rank == 0))
     }
 
-    fn exchange_partners(&self, rank: u32, nranks: u32) -> Vec<Vec<u32>> {
-        let n = neighbors6(rank, nranks);
-        vec![n.clone(), n]
+    /// Migration and halo both exchange with the six face neighbors.
+    fn exchange_partners(&self, nranks: u32) -> Vec<Vec<Vec<u32>>> {
+        let dims = factor3(nranks);
+        (0..nranks)
+            .map(|rank| {
+                let n = neighbors6(rank, dims);
+                vec![n.clone(), n]
+            })
+            .collect()
     }
 }
 
@@ -508,15 +514,12 @@ mod tests {
 
     #[test]
     fn rank_classes_match_materialized_grouping() {
-        use xtrace_spmd::RankClasses;
+        use crate::test_support::assert_classes_match_materialized;
         let app = Uh3dProxy::small();
         // 4096 particles / 2048 cells over 96 ranks: both shares carry
         // remainders, at different rank boundaries.
-        for p in [1u32, 96] {
-            let fast = RankClasses::try_from_app(&app, p).unwrap();
-            let programs: Vec<_> = (0..p).map(|r| app.rank_program(r, p)).collect();
-            let slow = RankClasses::try_from_programs(&programs).unwrap();
-            assert_eq!(fast.assignment(), slow.assignment(), "p={p}");
+        for p in [1u32, 2, 7, 8, 96, 384] {
+            let fast = assert_classes_match_materialized(&app, p);
             assert!(fast.num_classes() <= 5, "p={p}: {}", fast.num_classes());
         }
     }

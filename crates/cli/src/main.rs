@@ -16,7 +16,8 @@
 //! xtrace pipeline    --app A --training P1,P2,P3 --target P --machine M
 //!                    [--scale S] [--forms paper|extended] [--validate true|false]
 //!                    [--store DIR] [--out F]
-//! xtrace report      same flags as pipeline, plus [--top N]
+//! xtrace report      the pipeline run flags except --out, --metrics and
+//!                    --critical-out, plus [--top N]
 //! xtrace diff        --a F1 --b F2 [--threshold 0.001] [--top N]
 //! xtrace bench-verdict PERFBENCH_OUT... [--history F] [--append [true|false]]
 //! xtrace machine-export --machine M --out F.json
@@ -1221,12 +1222,137 @@ fn cmd_serve(args: &Args) -> Result<()> {
     Ok(())
 }
 
+/// One subcommand: its name, its handler and every flag it reads besides
+/// the global `--threads`.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> Result<()>,
+    flags: &'static [&'static str],
+}
+
+/// Every subcommand. A flag missing from a command's list is refused
+/// before any work starts, so a misspelt or unsupported flag can never be
+/// silently ignored.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "machines",
+        run: |_| cmd_machines(),
+        flags: &[],
+    },
+    Command {
+        name: "apps",
+        run: |_| cmd_apps(),
+        flags: &[],
+    },
+    Command {
+        name: "trace",
+        run: cmd_trace,
+        flags: &["app", "scale", "ranks", "machine", "rank", "out"],
+    },
+    Command {
+        name: "extrapolate",
+        run: cmd_extrapolate,
+        flags: &["target", "forms", "report", "out"],
+    },
+    Command {
+        name: "predict",
+        run: cmd_predict,
+        flags: &["trace", "app", "scale", "ranks", "machine"],
+    },
+    Command {
+        name: "pipeline",
+        run: cmd_pipeline,
+        flags: &[
+            "app",
+            "machine",
+            "training",
+            "target",
+            "scale",
+            "forms",
+            "validate",
+            "tracer",
+            "ranks-per-count",
+            "critical-path",
+            "store",
+            "out",
+            "metrics",
+            "metrics-out",
+            "trace-out",
+            "diagnostics-out",
+            "critical-out",
+        ],
+    },
+    Command {
+        name: "report",
+        run: cmd_report,
+        flags: &[
+            "app",
+            "machine",
+            "training",
+            "target",
+            "scale",
+            "forms",
+            "validate",
+            "tracer",
+            "ranks-per-count",
+            "critical-path",
+            "store",
+            "top",
+            "metrics-out",
+            "trace-out",
+            "diagnostics-out",
+        ],
+    },
+    Command {
+        name: "diff",
+        run: cmd_diff,
+        flags: &["a", "b", "threshold", "top"],
+    },
+    Command {
+        name: "bench-verdict",
+        run: cmd_bench_verdict,
+        flags: &["history", "append"],
+    },
+    Command {
+        name: "machine-export",
+        run: cmd_machine_export,
+        flags: &["machine", "out"],
+    },
+    Command {
+        name: "inspect",
+        run: cmd_inspect,
+        flags: &["app", "scale", "ranks", "rank"],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        flags: &["addr", "workers", "max-queue", "store"],
+    },
+];
+
 fn run() -> Result<()> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
         return Err(usage_err(usage()));
     };
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
+        return Err(usage_err(format!("unknown command {cmd:?}\n{}", usage())));
+    };
     let args = Args::parse(&argv[1..])?;
+    if let Some((key, _)) = args
+        .flags
+        .iter()
+        .find(|(k, _)| k != "threads" && !command.flags.contains(&k.as_str()))
+    {
+        return Err(usage_err(format!(
+            "unknown flag --{key} for `xtrace {cmd}`\n{}",
+            usage()
+        )));
+    }
     if let Some(t) = args.get("threads") {
         let n: usize = t
             .parse()
@@ -1236,25 +1362,7 @@ fn run() -> Result<()> {
             .build_global()
             .map_err(|e| usage_err(format!("failed to configure thread pool: {e}")))?;
     }
-    match cmd.as_str() {
-        "machines" => cmd_machines(),
-        "apps" => cmd_apps(),
-        "trace" => cmd_trace(&args),
-        "extrapolate" => cmd_extrapolate(&args),
-        "predict" => cmd_predict(&args),
-        "pipeline" => cmd_pipeline(&args),
-        "report" => cmd_report(&args),
-        "diff" => cmd_diff(&args),
-        "bench-verdict" => cmd_bench_verdict(&args),
-        "machine-export" => cmd_machine_export(&args),
-        "inspect" => cmd_inspect(&args),
-        "serve" => cmd_serve(&args),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(usage_err(format!("unknown command {other:?}\n{}", usage()))),
-    }
+    (command.run)(&args)
 }
 
 fn main() -> ExitCode {

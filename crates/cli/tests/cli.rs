@@ -1,7 +1,7 @@
 //! End-to-end tests of the `xtrace` binary: every subcommand, both trace
 //! formats, and the error paths.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn xtrace(args: &[&str]) -> Output {
@@ -11,15 +11,29 @@ fn xtrace(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-/// An empty scratch directory for one test, under a root unique to this
-/// test process, so leftovers of an earlier run or build never leak in.
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("xtrace-cli-tests-{}", std::process::id()))
-        .join(name);
+/// An empty scratch directory for one test, unique to this test process
+/// so leftovers of an earlier run or build never leak in. Dropping the
+/// guard removes it, also when the test panics.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmpdir(name: &str) -> TempDir {
+    let dir = std::env::temp_dir().join(format!("xtrace-cli-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 #[test]
@@ -369,6 +383,62 @@ fn usage_errors_exit_with_code_2() {
         let out = xtrace(args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}: {out:?}");
     }
+}
+
+/// A misspelt flag is refused, naming it, before any stage runs: nothing
+/// reaches stdout and no stage reports progress.
+#[test]
+fn pipeline_refuses_a_misspelt_flag_before_running() {
+    let out = xtrace(&[
+        "pipeline",
+        "--app",
+        "specfem3d",
+        "--scale",
+        "tiny",
+        "--training",
+        "6,24,96",
+        "--target",
+        "384",
+        "--machine",
+        "cray-xt5",
+        "--tracer",
+        "fast",
+        "--valdiate",
+        "false",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --valdiate"), "{err}");
+    assert!(!err.contains("[collect]"), "a stage ran: {err}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+}
+
+/// `report` writes no critical-path file, so `--critical-out` is refused
+/// rather than silently ignored.
+#[test]
+fn report_refuses_a_flag_it_does_not_read() {
+    let dir = tmpdir("report-critical-out");
+    let path = dir.join("critical.json");
+    let out = xtrace(&[
+        "report",
+        "--app",
+        "stencil3d",
+        "--training",
+        "2,4,8",
+        "--target",
+        "32",
+        "--machine",
+        "opteron",
+        "--validate",
+        "false",
+        "--critical-out",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --critical-out"), "{err}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    assert!(!path.exists());
 }
 
 #[test]
@@ -1119,8 +1189,8 @@ fn metrics_out_carries_stage_spans_and_required_keys() {
 
 #[test]
 fn wide_collection_keeps_the_ring_bounded_and_stores_compressed_traces() {
-    let store = tmpdir("wide-smoke").join("store");
-    let _ = std::fs::remove_dir_all(&store);
+    let dir = tmpdir("wide-smoke");
+    let store = dir.join("store");
     let snap = tiny_specfem_metrics(
         "wide-smoke",
         "96,192",
@@ -1171,8 +1241,8 @@ fn serve_drains_and_exits_zero_on_sigterm() {
     use std::io::{BufRead, BufReader, Read, Write};
     use std::process::Stdio;
 
-    let store = tmpdir("serve-sigterm").join("store");
-    let _ = std::fs::remove_dir_all(&store);
+    let dir = tmpdir("serve-sigterm");
+    let store = dir.join("store");
     let mut daemon = Daemon(
         Command::new(env!("CARGO_BIN_EXE_xtrace"))
             .args(["serve", "--addr", "127.0.0.1:0", "--store"])

@@ -67,3 +67,47 @@ pub use stage::{
     StageObserver,
 };
 pub use store::{ArtifactStore, CacheStats, STORE_FORMAT, STORE_VERSION};
+
+#[cfg(test)]
+mod test_support {
+    use std::path::{Path, PathBuf};
+
+    /// A scratch directory for one unit test, unique to this test process
+    /// and absent on creation. Dropping the guard removes it, also when the
+    /// test panics.
+    pub(crate) struct ScratchDir(PathBuf);
+
+    impl ScratchDir {
+        pub(crate) fn new(name: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("xtrace-core-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Self(dir)
+        }
+    }
+
+    impl std::ops::Deref for ScratchDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for ScratchDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl From<&ScratchDir> for PathBuf {
+        fn from(dir: &ScratchDir) -> PathBuf {
+            dir.0.clone()
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}

@@ -783,7 +783,7 @@ mod tests {
     use super::*;
     use crate::config::FormSet;
     use crate::error::XtraceError;
-    use std::path::PathBuf;
+    use crate::test_support::ScratchDir;
 
     fn quick_config() -> PipelineConfig {
         let mut cfg = PipelineConfig::new("stencil3d", "opteron", vec![2, 4, 8], 32);
@@ -792,12 +792,8 @@ mod tests {
         cfg
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("xtrace-core-pipeline-tests")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmp(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("pipeline-{name}"))
     }
 
     #[test]

@@ -367,15 +367,12 @@ impl ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::ScratchDir;
     use xtrace_machine::presets;
     use xtrace_tracer::{collect_signature_memo_obs, SigMemo, TracerConfig};
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("xtrace-core-store-tests")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmp(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("store-{name}"))
     }
 
     fn sample_trace() -> TaskTrace {
@@ -427,7 +424,8 @@ mod tests {
 
     #[test]
     fn binary_and_json_traces_roundtrip() {
-        let store = ArtifactStore::open_shared(tmp("roundtrip")).unwrap();
+        let root = tmp("roundtrip");
+        let store = ArtifactStore::open_shared(&root).unwrap();
         let trace = sample_trace();
         assert_eq!(store.get_trace("h", "training-p2").unwrap(), None);
         store.put_trace("h", "training-p2", &trace).unwrap();
@@ -460,7 +458,8 @@ mod tests {
 
     #[test]
     fn entries_are_isolated_by_hash() {
-        let store = ArtifactStore::open_shared(tmp("isolated")).unwrap();
+        let root = tmp("isolated");
+        let store = ArtifactStore::open_shared(&root).unwrap();
         let trace = sample_trace();
         store.put_trace("aaaa", "t", &trace).unwrap();
         assert_eq!(store.get_trace("bbbb", "t").unwrap(), None);
@@ -490,7 +489,8 @@ mod tests {
 
     #[test]
     fn cache_counters_sum_to_total_lookups() {
-        let store = ArtifactStore::open_shared(tmp("cache-sums")).unwrap();
+        let root = tmp("cache-sums");
+        let store = ArtifactStore::open_shared(&root).unwrap();
         let namespaces: Vec<String> = (0..32).map(|i| format!("ns{i:02}")).collect();
         for ns in &namespaces {
             store.put_json(ns, "v", &7u32).unwrap();
@@ -518,7 +518,8 @@ mod tests {
 
     #[test]
     fn eight_thread_stress_disjoint_and_identical_artifacts() {
-        let store = ArtifactStore::open_shared(tmp("stress")).unwrap();
+        let root = tmp("stress");
+        let store = ArtifactStore::open_shared(&root).unwrap();
         let trace = sample_trace();
         // Seed one artifact every thread reads (identical), then race
         // disjoint per-thread artifacts against those shared reads.

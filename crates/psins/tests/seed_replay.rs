@@ -227,10 +227,9 @@ fn groups_for(app: &dyn SpmdApp, nranks: u32, machine: &MachineProfile) -> Vec<(
 
 /// Seed oracle, naive walk over today's interned model, and the
 /// class-deduplicated replay on 1 and 4 threads: four equal reports. The
-/// 4-thread leg is recorded, so the test also pins which stepping path it
-/// took: chunked parallel stepping iff `parallel` (the engine steps
-/// serially below 256 ranks).
-fn assert_replay_legs_match_the_seed(app: &dyn SpmdApp, nranks: u32, parallel: bool) {
+/// 4-thread leg is recorded, so the test also pins that it ran exactly one
+/// simulation.
+fn assert_replay_legs_match_the_seed(app: &dyn SpmdApp, nranks: u32) {
     let machine = presets::bluewaters_phase1();
     let groups = groups_for(app, nranks, &machine);
     let pool = |n: usize| {
@@ -249,7 +248,7 @@ fn assert_replay_legs_match_the_seed(app: &dyn SpmdApp, nranks: u32, parallel: b
     });
     let dedup_serial = pool(1)
         .install(|| try_replay_groups(app, nranks, &groups, &machine).expect("dedup replay runs"));
-    let (dedup_parallel, counters) = pool(4).install(|| {
+    let (dedup_wide, counters) = pool(4).install(|| {
         let obs = ObsContext::with_recorder(Recorder::new());
         let mut model =
             GroupComputeModel::try_new(&groups, nranks, &machine).expect("model builds");
@@ -266,24 +265,19 @@ fn assert_replay_legs_match_the_seed(app: &dyn SpmdApp, nranks: u32, parallel: b
         "{name}: dedup replay drifted from the seed"
     );
     assert_eq!(
-        dedup_parallel, seed,
-        "{name}: parallel dedup replay drifted from the seed"
+        dedup_wide, seed,
+        "{name}: 4-thread dedup replay drifted from the seed"
     );
-    let path = if parallel {
-        "sched.spmd.parallel_sims"
-    } else {
-        "sched.spmd.serial_sims"
-    };
     assert_eq!(
-        counters.get(path),
+        counters.get("sched.spmd.serial_sims"),
         Some(&1),
-        "{name} at {nranks} ranks: the 4-thread replay did not take the expected stepping path"
+        "{name} at {nranks} ranks: the 4-thread replay did not run exactly one simulation"
     );
 }
 
 #[test]
 fn replay_legs_are_bit_identical_to_the_seed_oracle() {
-    assert_replay_legs_match_the_seed(&SpecfemProxy::small(), 32, false);
-    assert_replay_legs_match_the_seed(&Uh3dProxy::small(), 16, false);
-    assert_replay_legs_match_the_seed(&SpecfemProxy::small(), 256, true);
+    assert_replay_legs_match_the_seed(&SpecfemProxy::small(), 32);
+    assert_replay_legs_match_the_seed(&Uh3dProxy::small(), 16);
+    assert_replay_legs_match_the_seed(&SpecfemProxy::small(), 256);
 }

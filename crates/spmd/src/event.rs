@@ -178,24 +178,33 @@ pub trait SpmdApp: Sync {
         None
     }
 
-    /// The per-rank `Exchange` neighbor lists, one entry per `Exchange`
-    /// event in script order.
+    /// Every rank's `Exchange` neighbor lists for a job of `nranks`: the
+    /// outer vector is indexed by rank, and each rank's entry holds one
+    /// list per `Exchange` event in script order.
     ///
     /// This is the only part of a rank's script allowed to differ within a
     /// [`SpmdApp::rank_class`] equivalence class, so the engine asks for it
-    /// separately. The default extracts the lists from a full
-    /// [`SpmdApp::rank_program`] build — correct, but it defeats the point
-    /// of class dedup; override it (cheaply) together with `rank_class`.
-    fn exchange_partners(&self, rank: u32, nranks: u32) -> Vec<Vec<u32>> {
-        self.rank_program(rank, nranks)
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                RankEvent::Exchange { neighbors, .. } => Some(neighbors.clone()),
-                _ => None,
-            })
+    /// separately, once per job — a decomposition that is set up per job
+    /// (say, factoring the process grid) is paid once, not once per rank.
+    /// The default extracts the lists from a full [`SpmdApp::rank_program`]
+    /// build of every rank — correct, but it defeats the point of class
+    /// dedup; override it (cheaply) together with `rank_class`.
+    fn exchange_partners(&self, nranks: u32) -> Vec<Vec<Vec<u32>>> {
+        (0..nranks)
+            .map(|rank| exchange_lists(&self.rank_program(rank, nranks)))
             .collect()
     }
+}
+
+/// The `Exchange` neighbor lists of a program, in script order.
+pub(crate) fn exchange_lists(p: &RankProgram) -> Vec<Vec<u32>> {
+    p.events
+        .iter()
+        .filter_map(|e| match e {
+            RankEvent::Exchange { neighbors, .. } => Some(neighbors.clone()),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -26,25 +26,23 @@
 //! kept as [`simulate_naive`] and equality is enforced by
 //! proptests).
 //!
-//! # Parallel stepping
+//! # Two-phase stepping
 //!
 //! Between synchronization points every rank's advance depends only on the
 //! pre-event clocks, so each event is applied in two phases: a pure
-//! per-rank update computation (fanned out over rank chunks with rayon
-//! when the pool and rank count warrant it) followed by an in-order commit.
-//! Chunking only partitions index space — each rank's value is computed
-//! from the same snapshot by the same expression — so reports are
-//! bit-identical at any thread count.
+//! per-rank update computation over the pre-event snapshot, followed by an
+//! in-order commit. Stepping is serial: one event's per-rank work is a few
+//! arithmetic operations, so fanning it out costs more in thread hand-off
+//! than it saves, and a sweep already runs one simulation per lane.
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xtrace_obs::ObsContext;
 
 use crate::compute::ComputeModel;
 use crate::critical::{CriticalPathAccumulator, CriticalPathReport, PathPhase};
-use crate::event::{RankEvent, RankProgram, SpmdApp};
+use crate::event::{exchange_lists, RankEvent, RankProgram, SpmdApp};
 use crate::net::NetworkModel;
 
 /// One interval of a replay timeline: what a rank was doing, and when.
@@ -196,10 +194,6 @@ impl std::fmt::Debug for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Rank count below which the engine always steps serially, so small jobs
-/// never pay thread-spawn overhead.
-const MIN_PARALLEL_RANKS: usize = 256;
-
 /// Rank-class decomposition of an SPMD job: one representative
 /// [`RankProgram`] per equivalence class plus the per-rank residue (class
 /// assignment and `Exchange` neighbor lists).
@@ -239,17 +233,6 @@ fn same_class(a: &RankProgram, b: &RankProgram) -> bool {
         ) => bx == by && rx == ry,
         _ => x == y,
     })
-}
-
-/// The `Exchange` neighbor lists of a program, in script order.
-fn exchange_lists(p: &RankProgram) -> Vec<Vec<u32>> {
-    p.events
-        .iter()
-        .filter_map(|e| match e {
-            RankEvent::Exchange { neighbors, .. } => Some(neighbors.clone()),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Shape/validity check shared by the naive engine and class building.
@@ -330,6 +313,10 @@ impl RankClasses {
 
     /// Builds classes from an app's [`SpmdApp::rank_class`] keys without
     /// materializing every rank's program — the O(classes) fast path.
+    /// Every rank's partner lists come from one
+    /// [`SpmdApp::exchange_partners`] call for the whole job; a result that
+    /// does not hold exactly `nranks` entries is a
+    /// [`SimError::ClassContract`].
     ///
     /// Falls back to [`RankClasses::try_from_programs`] when the app does
     /// not provide keys. In debug builds the keys and partner lists are
@@ -348,7 +335,6 @@ impl RankClasses {
         let mut key_to_class: HashMap<u64, u32> = HashMap::new();
         let mut representatives: Vec<RankProgram> = Vec::new();
         let mut assignment = Vec::with_capacity(nranks as usize);
-        let mut partners = Vec::with_capacity(nranks as usize);
         for r in 0..nranks {
             let c = match key_to_class.get(&keys[r as usize]) {
                 Some(&c) => c,
@@ -360,7 +346,20 @@ impl RankClasses {
                 }
             };
             assignment.push(c);
-            partners.push(app.exchange_partners(r, nranks));
+        }
+        // Built after the representatives on purpose: built first, the many
+        // small per-rank lists left the heap fragmented enough to raise the
+        // process's peak RSS by ~1.6 MiB in most `paper-cold` benchmark runs
+        // (glibc malloc, 2-vCPU host).
+        let partners = app.exchange_partners(nranks);
+        if partners.len() != nranks as usize {
+            return Err(SimError::ClassContract {
+                rank: partners.len().min(nranks as usize) as u32,
+                detail: format!(
+                    "exchange_partners returned {} rank entries for {nranks} ranks",
+                    partners.len()
+                ),
+            });
         }
         let classes = Self {
             representatives,
@@ -565,40 +564,16 @@ fn event_kind_name(e: &RankEvent) -> &'static str {
     }
 }
 
-/// Computes `f(rank)` for every rank, optionally fanning out over rank
-/// chunks. `f` must be pure over the pre-event snapshot; chunking only
-/// partitions index space and results are reassembled in rank order, so
-/// the output is identical to the serial path at any thread count.
-fn run_per_rank<F>(par: bool, nranks: usize, f: &F) -> Vec<(f64, f64, f64)>
-where
-    F: Fn(usize) -> (f64, f64, f64) + Sync,
-{
-    if !par {
-        return (0..nranks).map(f).collect();
-    }
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = nranks.div_ceil(threads * 4).max(1);
-    let ranges: Vec<(usize, usize)> = (0..nranks)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(nranks)))
-        .collect();
-    let chunks: Vec<Vec<(f64, f64, f64)>> = ranges
-        .par_iter()
-        .map(|&(lo, hi)| (lo..hi).map(f).collect())
-        .collect();
-    chunks.into_iter().flatten().collect()
-}
-
 /// The deduplicated bulk-synchronous engine.
 ///
 /// Each event is applied in two phases: per-rank `(new_clock, Δcompute,
-/// Δcomm)` updates computed purely from the pre-event clocks (serially or
-/// chunk-parallel), then an in-order commit that also emits timeline
-/// entries when tracing. The per-rank arithmetic is exactly the naive
-/// engine's — same values, same order — so reports are bit-identical.
+/// Δcomm)` updates computed purely from the pre-event clocks, then an
+/// in-order commit that also emits timeline entries when tracing. The
+/// per-rank arithmetic is exactly the naive engine's — same values, same
+/// order — so reports are bit-identical.
 ///
 /// When `attr` is supplied, each superstep's critical segment is fed into
-/// the accumulator from the serial section, reading only the pre-event
+/// the accumulator between the two phases, reading only the pre-event
 /// `clocks` snapshot and the already-computed `updates` vector — the
 /// forward arithmetic is untouched, so attribution can never perturb the
 /// report, and the attribution itself is a pure function of deterministic
@@ -644,11 +619,9 @@ fn simulate_classes_inner(
         None => ((0..nranks as u32).collect(), (0..nranks as u32).collect()),
     };
 
-    let par = record.is_none() && nranks >= MIN_PARALLEL_RANKS && rayon::current_num_threads() > 1;
-
     // Observability: class/group/event counts are functions of the input
-    // alone; whether the chunked path runs depends on the installed thread
-    // pool, so that lands under the scheduling-dependent prefix.
+    // alone; the simulation count sits under the scheduling prefix that
+    // masked snapshots drop.
     let metrics = obs.metrics();
     if metrics.enabled() {
         metrics.gauge("spmd.rank_classes").set(reps.len() as u64);
@@ -656,13 +629,7 @@ fn simulate_classes_inner(
             .gauge("spmd.compute_groups")
             .set(group_reps.len() as u64);
         metrics.counter("spmd.events_stepped").add(nevents as u64);
-        metrics
-            .counter(if par {
-                "sched.spmd.parallel_sims"
-            } else {
-                "sched.spmd.serial_sims"
-            })
-            .incr();
+        metrics.counter("sched.spmd.serial_sims").incr();
     }
 
     // Journal: per-rank-class compute/exchange attribution on the
@@ -726,11 +693,12 @@ fn simulate_classes_inner(
                         dts[g] = dt;
                     }
                 }
-                let arrivals = &clocks;
-                run_per_rank(par, nranks, &|r| {
-                    let dt = dts[group_of[r] as usize];
-                    (arrivals[r] + dt, dt, 0.0)
-                })
+                (0..nranks)
+                    .map(|r| {
+                        let dt = dts[group_of[r] as usize];
+                        (clocks[r] + dt, dt, 0.0)
+                    })
+                    .collect()
             }
             RankEvent::Exchange { .. } => {
                 let slot = exchange_slot;
@@ -751,17 +719,17 @@ fn simulate_classes_inner(
                         });
                     }
                 }
-                let arrivals = &clocks;
-                let partners = &classes.partners;
-                run_per_rank(par, nranks, &|r| {
-                    let list = &partners[r][slot];
-                    let mut sync = arrivals[r];
-                    for &n in list {
-                        sync = sync.max(arrivals[n as usize]);
-                    }
-                    let end = sync + costs[&(assignment[r], list.len())];
-                    (end, 0.0, end - arrivals[r])
-                })
+                (0..nranks)
+                    .map(|r| {
+                        let list = &classes.partners[r][slot];
+                        let mut sync = clocks[r];
+                        for &n in list {
+                            sync = sync.max(clocks[n as usize]);
+                        }
+                        let end = sync + costs[&(assignment[r], list.len())];
+                        (end, 0.0, end - clocks[r])
+                    })
+                    .collect()
             }
             _ => {
                 // Collectives: a global rank-order max fold (preserved
@@ -787,11 +755,12 @@ fn simulate_classes_inner(
                         _ => 0.0,
                     })
                     .collect();
-                let arrivals = &clocks;
-                run_per_rank(par, nranks, &|r| {
-                    let end = global + costs[assignment[r] as usize];
-                    (end, 0.0, end - arrivals[r])
-                })
+                (0..nranks)
+                    .map(|r| {
+                        let end = global + costs[assignment[r] as usize];
+                        (end, 0.0, end - clocks[r])
+                    })
+                    .collect()
             }
         };
 
@@ -1313,11 +1282,73 @@ mod tests {
         fn rank_class(&self, rank: u32, _nranks: u32) -> Option<u64> {
             Some(u64::from(rank == 0))
         }
-        fn exchange_partners(&self, rank: u32, nranks: u32) -> Vec<Vec<u32>> {
-            let left = (rank + nranks - 1) % nranks;
-            let right = (rank + 1) % nranks;
-            vec![vec![left, right]]
+        fn exchange_partners(&self, nranks: u32) -> Vec<Vec<Vec<u32>>> {
+            (0..nranks)
+                .map(|rank| vec![vec![(rank + nranks - 1) % nranks, (rank + 1) % nranks]])
+                .collect()
         }
+    }
+
+    /// [`ClassedRing`] counting its partner calls, optionally dropping the
+    /// last rank's entry.
+    struct CountingRing {
+        calls: std::sync::atomic::AtomicUsize,
+        short: bool,
+    }
+    impl CountingRing {
+        fn new(short: bool) -> Self {
+            Self {
+                calls: std::sync::atomic::AtomicUsize::new(0),
+                short,
+            }
+        }
+        fn calls(&self) -> usize {
+            self.calls.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+    impl SpmdApp for CountingRing {
+        fn name(&self) -> &str {
+            "counting-ring"
+        }
+        fn rank_program(&self, rank: u32, nranks: u32) -> RankProgram {
+            ClassedRing.rank_program(rank, nranks)
+        }
+        fn rank_class(&self, rank: u32, nranks: u32) -> Option<u64> {
+            ClassedRing.rank_class(rank, nranks)
+        }
+        fn exchange_partners(&self, nranks: u32) -> Vec<Vec<Vec<u32>>> {
+            self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let mut lists = ClassedRing.exchange_partners(nranks);
+            if self.short {
+                lists.pop();
+            }
+            lists
+        }
+    }
+
+    #[test]
+    fn partners_are_asked_for_once_per_job() {
+        for nranks in [1u32, 12, 300] {
+            let app = CountingRing::new(false);
+            let classes = RankClasses::try_from_app(&app, nranks).expect("classes build");
+            assert_eq!(app.calls(), 1, "nranks={nranks}");
+            assert_eq!(classes.nranks(), nranks);
+        }
+    }
+
+    #[test]
+    fn partner_lists_for_the_wrong_rank_count_are_a_contract_error() {
+        let app = CountingRing::new(true);
+        let err = RankClasses::try_from_app(&app, 12).expect_err("11 entries for 12 ranks");
+        assert_eq!(app.calls(), 1);
+        assert!(
+            matches!(err, SimError::ClassContract { rank: 11, .. }),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("11 rank entries for 12 ranks"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1345,20 +1376,18 @@ mod tests {
         assert!(dedup.ranks[5].compute_s > dedup.ranks[0].compute_s);
     }
 
-    /// At the engine's rank threshold a 4-thread pool takes the chunked
-    /// path and a 1-thread pool the serial one; the reports are identical.
+    /// A 4-thread and a 1-thread pool produce identical reports.
     #[test]
-    fn forced_parallel_stepping_is_bit_identical() {
+    fn stepping_is_bit_identical_across_pool_sizes() {
         let app = Skewed { iters_scale: 100 };
         let classes = RankClasses::try_from_app(&app, 256).expect("classes build");
         let run = |obs: &ObsContext| {
             simulate(&classes, &net(), &mut NominalComputeModel::default(), obs).expect("simulate")
         };
-        let (parallel, par_counters) = in_pool(4, run);
+        let (wide, _) = in_pool(4, run);
         let (serial, serial_counters) = in_pool(1, run);
-        assert_eq!(par_counters.get("sched.spmd.parallel_sims"), Some(&1));
         assert_eq!(serial_counters.get("sched.spmd.serial_sims"), Some(&1));
-        assert_eq!(parallel, serial);
+        assert_eq!(wide, serial);
     }
 
     /// Hub-and-spoke: rank 0 exchanges with every worker (and pays the
@@ -1467,15 +1496,14 @@ mod tests {
     }
 
     #[test]
-    fn attribution_is_identical_under_forced_parallel_stepping() {
+    fn attribution_is_identical_across_pool_sizes() {
         let app = Skewed { iters_scale: 100 };
-        let ((par_report, par_critical), par_counters) = in_pool(4, |obs| attr(&app, 256, obs));
+        let ((wide_report, wide_critical), _) = in_pool(4, |obs| attr(&app, 256, obs));
         let ((serial_report, serial_critical), serial_counters) =
             in_pool(1, |obs| attr(&app, 256, obs));
-        assert_eq!(par_counters.get("sched.spmd.parallel_sims"), Some(&1));
         assert_eq!(serial_counters.get("sched.spmd.serial_sims"), Some(&1));
-        assert_eq!(par_report, serial_report);
-        assert_eq!(par_critical, serial_critical);
+        assert_eq!(wide_report, serial_report);
+        assert_eq!(wide_critical, serial_critical);
     }
 
     #[test]

@@ -562,6 +562,25 @@ fn get_str(buf: &mut &[u8]) -> Result<String, CodecError> {
 mod tests {
     use super::*;
 
+    /// An empty scratch directory for one test, unique to this test
+    /// process. Dropping the guard removes it, also when the test panics.
+    struct ScratchDir(PathBuf);
+
+    impl ScratchDir {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("xtrace-io-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     fn sample() -> TaskTrace {
         TaskTrace {
             app: "specfem3d-proxy".into(),
@@ -628,9 +647,8 @@ mod tests {
     #[test]
     fn json_file_roundtrip() {
         let t = sample();
-        let dir = std::env::temp_dir().join("xtrace-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
+        let dir = ScratchDir::new("json");
+        let path = dir.0.join("trace.json");
         save_json(&t, &path).unwrap();
         let back = load_json(&path).unwrap();
         assert_eq!(back, t, "envelope roundtrip is exact");
@@ -639,27 +657,23 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(raw["format"], JSON_FORMAT);
         assert_eq!(raw["version"], u64::from(JSON_VERSION));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn legacy_bare_json_still_loads() {
         let t = sample();
-        let dir = std::env::temp_dir().join("xtrace-io-test-legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json");
+        let dir = ScratchDir::new("legacy");
+        let path = dir.0.join("legacy.json");
         std::fs::write(&path, serde_json::to_string_pretty(&t).unwrap()).unwrap();
         let back = load_json(&path).unwrap();
         assert_eq!(back, t);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn json_rejects_forward_version() {
         let t = sample();
-        let dir = std::env::temp_dir().join("xtrace-io-test-fwd");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("future.json");
+        let dir = ScratchDir::new("fwd");
+        let path = dir.0.join("future.json");
         save_json(&t, &path).unwrap();
         let bumped = std::fs::read_to_string(&path).unwrap().replace(
             &format!("\"version\": {JSON_VERSION}"),
@@ -673,7 +687,6 @@ mod tests {
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

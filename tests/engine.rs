@@ -17,10 +17,13 @@
 //!   metrics and journals; a multi-target `run` is a usage error that
 //!   never opens a flight.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::ScratchDir;
 use xtrace::core::{
     EngineOutcome, PipelineConfig, StageKind, StageObserver, XtraceEngine, XtraceError,
 };
@@ -159,8 +162,7 @@ impl StageObserver for HoldAtCollect {
 
 #[test]
 fn eight_identical_inflight_runs_coalesce_onto_one_cold_pipeline() {
-    let root = std::env::temp_dir().join(format!("xtrace-engine-coalesce-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = ScratchDir::new("engine-coalesce");
     let engine = Arc::new(XtraceEngine::new().with_store(&root).unwrap());
     let cfg = other_config();
     let release = Arc::new(AtomicBool::new(false));
@@ -251,7 +253,6 @@ fn eight_identical_inflight_runs_coalesce_onto_one_cold_pipeline() {
     assert_eq!(stats.writes, 7, "warm resume added artifact writes");
 
     outcomes.clear();
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -11,6 +11,9 @@
 //! then commit the refreshed `tests/golden/specfem_tiny_prediction.json`
 //! and explain the delta in the PR.
 
+mod common;
+
+use common::ScratchDir;
 use xtrace::core::{ArtifactStore, Pipeline, PipelineConfig};
 
 fn golden_config() -> PipelineConfig {
@@ -72,8 +75,7 @@ fn golden_run_is_invariant_under_thread_count() {
 
 #[test]
 fn golden_run_resumes_from_the_store() {
-    let dir = std::env::temp_dir().join(format!("xtrace-golden-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("golden-store");
     let store = ArtifactStore::open_shared(&dir).unwrap();
 
     let cold = Pipeline::new(golden_config())
@@ -115,6 +117,4 @@ fn golden_run_resumes_from_the_store() {
     assert!(warm.cache_hits > 0);
     assert_eq!(warm.prediction, cold.prediction);
     assert_eq!(warm.extrapolated, cold.extrapolated);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

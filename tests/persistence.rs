@@ -1,6 +1,9 @@
 //! Cross-crate persistence integration: traces survive both on-disk
 //! formats, and extrapolation works on reloaded traces.
 
+mod common;
+
+use common::ScratchDir;
 use xtrace::apps::StencilProxy;
 use xtrace::extrap::{extrapolate_signature, ExtrapolationConfig};
 use xtrace::machine::presets;
@@ -34,7 +37,7 @@ fn json_files_roundtrip_and_feed_extrapolation() {
     let app = StencilProxy::small();
     let machine = presets::cray_xt5();
     let cfg = TracerConfig::fast();
-    let dir = std::env::temp_dir().join("xtrace-integration");
+    let dir = ScratchDir::new("persistence-json");
     std::fs::create_dir_all(&dir).unwrap();
 
     let mut paths = Vec::new();
@@ -57,10 +60,6 @@ fn json_files_roundtrip_and_feed_extrapolation() {
         .expect("reloaded traces extrapolate");
     assert_eq!(ex.nranks, 32);
     assert_eq!(ex.machine, "cray-xt5");
-
-    for p in paths {
-        std::fs::remove_file(p).ok();
-    }
 }
 
 #[test]

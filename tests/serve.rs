@@ -25,10 +25,13 @@
 //! UPDATE_GOLDEN=1 cargo test --release --test serve
 //! ```
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use common::ScratchDir;
 use xtrace::psins::Prediction;
 use xtrace::serve::{ServeConfig, ServeErrorV1, ServeResponseV1, Server, ServerHandle};
 
@@ -168,10 +171,9 @@ fn golden_masked_predict_response() {
 
 #[test]
 fn concurrent_identical_requests_coalesce_then_resume_warm() {
-    let dir = std::env::temp_dir().join(format!("xtrace-serve-coalesce-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("serve-coalesce");
     let server = start_server(ServeConfig {
-        store: Some(dir.clone()),
+        store: Some(dir.to_path_buf()),
         workers: 2,
         ..ServeConfig::default()
     });
@@ -224,7 +226,6 @@ fn concurrent_identical_requests_coalesce_then_resume_warm() {
     assert_eq!(warm.prediction, responses[0].prediction);
 
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -17,6 +17,9 @@
 //!   later standalone run at a swept target both resume fully from the
 //!   prefix-keyed store with zero new writes.
 
+mod common;
+
+use common::ScratchDir;
 use xtrace::core::{ArtifactStore, Pipeline, PipelineConfig, SweepReport, XtraceEngine};
 
 /// The tiny SPECFEM3D config every golden file pins, swept over three
@@ -90,8 +93,7 @@ fn sweep_targets_match_standalone_runs_and_the_committed_golden() {
 
 #[test]
 fn only_a_sweep_that_predicts_measures_the_surface() {
-    let root = std::env::temp_dir().join(format!("xtrace-sweep-surface-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = ScratchDir::new("sweep-surface");
     let run = |cfg: PipelineConfig| {
         let mut pipeline = Pipeline::new(cfg)
             .unwrap()
@@ -124,8 +126,6 @@ fn only_a_sweep_that_predicts_measures_the_surface() {
     let (partly, measured) = run(partly);
     assert!(measured, "a sweep with a fresh target measures the surface");
     assert_eq!(predictions(&partly)[0], predictions(&cold)[0]);
-
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
@@ -173,8 +173,7 @@ fn sweep_is_invariant_under_thread_count() {
 
 #[test]
 fn cold_sweep_writes_one_prefix_then_everything_resumes_warm() {
-    let root = std::env::temp_dir().join(format!("xtrace-sweep-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = ScratchDir::new("sweep-store");
     let engine = XtraceEngine::new().with_store(&root).unwrap();
     let cfg = sweep_config();
 
@@ -232,6 +231,4 @@ fn cold_sweep_writes_one_prefix_then_everything_resumes_warm() {
         serde_json::to_string(&cold.sweep.reports[1].prediction).unwrap()
     );
     assert_eq!(engine.store().unwrap().cache_stats().writes, 15);
-
-    let _ = std::fs::remove_dir_all(&root);
 }
